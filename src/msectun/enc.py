@@ -25,18 +25,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .aes import Aes128
-from .frame import ETHERTYPE_MACSEC, ICV_LEN, is_broadcast
+from .frame import ETHERTYPE_MACSEC, ICV_LEN
 from .flow import (
     DEFAULT_WINDOW,
     DecodeResult,
     DownlinkFlowEntry,
+    DownlinkFlows,
     FlowKey,
     HeaderData,
     Sci,
     WindowStatus,
-    bind,
-    unbind,
-    window_init,
 )
 
 HEADER_BYTES = 32  # two cipher blocks
@@ -117,22 +115,21 @@ def header_decrypt(c1: bytes, c2: bytes, cipher: Aes128) -> tuple[bytes, bytes]:
     return p1, p2
 
 
-class EncTunnel:
+class EncTunnel(DownlinkFlows):
     """Uplink encoder and downlink decoder plus flow state.
 
-    Downlink flows are indexed by flow key; the decrypted header fields
-    must hit a registered entry and pass its replay window before a
-    frame is released.
+    The core table keys flows by base identifier; decode finds them by
+    flow key in ``by_key``, since the decrypted header fields must hit a
+    registered entry and pass its replay window before a frame is
+    released.  A flow re-announced under a new base identifier keeps
+    its entry and window.
     """
 
     def __init__(self, window_size: int = DEFAULT_WINDOW):
-        self.window_size = window_size
-        self.flows: dict[FlowKey, DownlinkFlowEntry] = {}
-        self._by_bidf: dict[bytes, FlowKey] = {}
-        self._by_sa: dict[tuple[Sci, int], set[FlowKey]] = {}
+        super().__init__(window_size)
+        self.by_key: dict[FlowKey, DownlinkFlowEntry] = {}
         self.block_ops_uplink = 0
         self.block_ops_downlink = 0
-        self.bind_flows = True
 
     # -- uplink --------------------------------------------------------------
 
@@ -146,42 +143,19 @@ class EncTunnel:
 
     # -- announcements -------------------------------------------------------
 
-    def register(
-        self, bidf: bytes, header: HeaderData, pn: int, origin: str = ""
-    ) -> DownlinkFlowEntry:
-        fkey = header.key()
-        entry = self.flows.get(fkey)
-        if entry is not None:
-            if entry.window is not None and pn > entry.window.lowest_unseen():
-                entry.window.__init__(pn, self.window_size)
-            self._by_bidf[bidf] = fkey
-            return entry
-        entry = DownlinkFlowEntry(bidf=bidf, header=header, origin=origin)
-        window_init(entry, pn, self.window_size)
-        self.flows[fkey] = entry
-        self._by_bidf[bidf] = fkey
-        sa = (header.sci, header.an)
-        peers = self._by_sa.setdefault(sa, set())
-        if self.bind_flows:
-            for other_key in peers:
-                other = self.flows[other_key]
-                if is_broadcast(other.header.dst) != is_broadcast(header.dst):
-                    bind(entry, other)
-                    break
-        peers.add(fkey)
-        return entry
+    def _find(self, bidf: bytes, header: HeaderData) -> Optional[DownlinkFlowEntry]:
+        return self.by_key.get(header.key())
 
-    def remove(self, bidf: bytes) -> None:
-        fkey = self._by_bidf.pop(bidf, None)
-        if fkey is None:
-            return
-        entry = self.flows.pop(fkey, None)
-        if entry is None:
-            return
-        unbind(entry)
-        peers = self._by_sa.get((entry.header.sci, entry.header.an))
-        if peers:
-            peers.discard(fkey)
+    def _added(self, entry: DownlinkFlowEntry) -> None:
+        self.by_key[entry.header.key()] = entry
+
+    def _forget(self, entry: DownlinkFlowEntry) -> None:
+        del self.by_key[entry.header.key()]
+
+    # bound on this class, not only inherited, so that each scheme's
+    # table upkeep can be timed apart (perfbench/tracing.py)
+    register = DownlinkFlows.register
+    remove = DownlinkFlows.remove
 
     # -- downlink ------------------------------------------------------------
 
@@ -200,7 +174,7 @@ class EncTunnel:
         an = p1[14] & 0x03
         pn = struct.unpack_from(">I", p2)[0]
         fkey = FlowKey(sci=Sci.unpack(p2[4:12]), an=an, dst=p1[0:6])
-        entry = self.flows.get(fkey)
+        entry = self.by_key.get(fkey)
         if entry is None:
             return DecodeResult(reason=REASON_UNKNOWN_FLOW)
         if entry.header.src != p1[6:12]:
@@ -210,4 +184,4 @@ class EncTunnel:
             return DecodeResult(reason=REASON_REPLAY)
         if res.status is WindowStatus.OUT_OF_WINDOW:
             return DecodeResult(reason=REASON_OUT_OF_WINDOW)
-        return DecodeResult(frame=p1 + p2 + body[33:], flow=entry)
+        return DecodeResult(frame=p1 + p2 + body[33:])

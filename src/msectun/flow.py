@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import enum
 import secrets
-import struct
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Optional
 
 from .frame import MacsecFrame, Sci, is_broadcast
 
@@ -134,10 +133,6 @@ class ReplayWindow:
     def pending_pns(self) -> list[int]:
         return [p for p in range(self.floor, self.top + 1) if not self.is_seen(p)]
 
-    def pn_states(self) -> Iterator[tuple[int, bool]]:
-        for p in range(self.floor, self.top + 1):
-            yield p, self.is_seen(p)
-
 
 @dataclass
 class UplinkFlowEntry:
@@ -190,14 +185,11 @@ class DownlinkFlowEntry:
     window: Optional[ReplayWindow] = None
     bound: Optional["DownlinkFlowEntry"] = None
     origin: str = ""
-    last_seen: int = 0
+    # a learned notice for this flow went back to its origin
+    learned: bool = False
     # identifier-scheme bookkeeping: pn -> ridf for the entries this
     # flow currently owns in the identifier table
     ids: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def next_expected_pn(self) -> int:
-        return self.window.lowest_unseen() if self.window else 0
 
 
 @dataclass
@@ -206,7 +198,6 @@ class DecodeResult:
 
     frame: Optional[bytes] = None
     reason: Optional[str] = None
-    flow: Optional[DownlinkFlowEntry] = None
 
     @property
     def ok(self) -> bool:
@@ -218,27 +209,11 @@ class IdentifierEntry:
     ridf: int
     pn: int
     flow: DownlinkFlowEntry
-    seen: bool = False
 
 
-def window_init(
-    entry: DownlinkFlowEntry,
-    start_pn: int,
-    window_size: int,
-    ridf_for_pn: Optional[Callable[[int], int]] = None,
-) -> list[IdentifierEntry]:
-    """Set up the entry's window and precalculate its identifier entries.
-
-    Without a derivation callback (the encryption scheme needs none) the
-    window is initialized and no entries are returned.
-    """
+def window_init(entry: DownlinkFlowEntry, start_pn: int, window_size: int) -> None:
+    """Give the entry a fresh replay window starting at ``start_pn``."""
     entry.window = ReplayWindow(start_pn, window_size)
-    if ridf_for_pn is None:
-        return []
-    return [
-        IdentifierEntry(ridf=ridf_for_pn(pn), pn=pn, flow=entry)
-        for pn in entry.window.pending_pns()
-    ]
 
 
 def window_accept(entry: DownlinkFlowEntry, pn: int) -> WindowResult:
@@ -279,6 +254,96 @@ def unbind(entry: DownlinkFlowEntry) -> None:
     entry.bound = None
 
 
+class DownlinkFlows:
+    """Downlink flow table: the flows peers announced, by base identifier.
+
+    One core for every scheme.  ``register`` creates a flow and its
+    replay window from an announcement, resets the window when a
+    re-announcement carries a newer PN (the sender restarted), and binds
+    the flow to the opposite-cast flow of the same SA.  ``remove`` undoes
+    all of it, so no index outlives its flow.  A scheme that finds flows
+    by another key overrides ``_find``, ``_added`` and ``_forget``; one
+    that keeps state per window position overrides ``_refill`` and
+    ``_forget``.  Single-writer: one gateway pipeline owns the instance.
+    """
+
+    def __init__(self, window_size: int = DEFAULT_WINDOW):
+        self.window_size = window_size
+        self.bind_flows = True
+        self.flows: dict[bytes, DownlinkFlowEntry] = {}
+        self._by_sa: dict[tuple[Sci, int], list[DownlinkFlowEntry]] = {}
+
+    # -- scheme hooks ------------------------------------------------------
+
+    def _find(self, bidf: bytes, header: HeaderData) -> Optional[DownlinkFlowEntry]:
+        """The flow an announcement refers to, if it is known already."""
+        return self.flows.get(bidf)
+
+    def _added(self, entry: DownlinkFlowEntry) -> None:
+        """A new flow entered the table."""
+
+    def _forget(self, entry: DownlinkFlowEntry) -> None:
+        """A flow left the table."""
+
+    def _refill(self, entry: DownlinkFlowEntry) -> None:
+        """The flow's window was created, reset or replaced by binding."""
+
+    # -- announcements -----------------------------------------------------
+
+    def register(
+        self, bidf: bytes, header: HeaderData, pn: int, origin: str = ""
+    ) -> DownlinkFlowEntry:
+        """Create (or refresh) a downlink flow from an announcement."""
+        entry = self._find(bidf, header)
+        clash = self.flows.get(bidf)
+        if clash is not None and clash is not entry:
+            # one base identifier names one flow: the newer announcement wins
+            self.remove(bidf)
+        if entry is not None:
+            entry.origin = origin
+            if entry.bidf != bidf:
+                # re-announced under a new base identifier: a late
+                # expire for the old one must not remove the flow
+                del self.flows[entry.bidf]
+                self.flows[bidf] = entry
+                entry.bidf = bidf
+                entry.learned = False
+            if pn > entry.window.lowest_unseen():
+                # re-announce with a newer PN: sender restarted, reset
+                entry.window.__init__(pn, self.window_size)
+                self._refill(entry)
+                if entry.bound is not None:
+                    self._refill(entry.bound)
+            return entry
+
+        entry = DownlinkFlowEntry(bidf=bidf, header=header, origin=origin)
+        window_init(entry, pn, self.window_size)
+        self.flows[bidf] = entry
+        self._added(entry)
+        same_sa = self._by_sa.setdefault((header.sci, header.an), [])
+        if self.bind_flows:
+            for other in same_sa:
+                if is_broadcast(other.header.dst) != is_broadcast(header.dst):
+                    bind(entry, other)
+                    self._refill(other)
+                    break
+        self._refill(entry)
+        same_sa.append(entry)
+        return entry
+
+    def remove(self, bidf: bytes) -> None:
+        entry = self.flows.pop(bidf, None)
+        if entry is None:
+            return
+        self._forget(entry)
+        unbind(entry)
+        sa = (entry.header.sci, entry.header.an)
+        same_sa = self._by_sa[sa]
+        same_sa.remove(entry)
+        if not same_sa:
+            del self._by_sa[sa]
+
+
 class UplinkTable:
     """Uplink flow entries keyed by (SCI, AN)."""
 
@@ -290,9 +355,6 @@ class UplinkTable:
 
     def put(self, entry: UplinkFlowEntry) -> None:
         self._entries[(entry.sci, entry.an)] = entry
-
-    def remove(self, sci: Sci, an: int) -> Optional[UplinkFlowEntry]:
-        return self._entries.pop((sci, an), None)
 
     def expire(self, now: int) -> list[UplinkFlowEntry]:
         """Drop entries whose timeout passed; caller cascades notices."""
@@ -306,11 +368,3 @@ class UplinkTable:
 
     def entries(self) -> list[UplinkFlowEntry]:
         return list(self._entries.values())
-
-
-def pack_bidf(bidf: bytes) -> str:
-    return bidf.hex()
-
-
-def ridf_bytes(ridf: int) -> bytes:
-    return struct.pack(">Q", ridf)

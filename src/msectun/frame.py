@@ -170,17 +170,6 @@ class MacsecFrame:
     secure_data: bytes
     icv: bytes
 
-    def __eq__(self, other):
-        if not isinstance(other, MacsecFrame):
-            return NotImplemented
-        return (
-            self.dst == other.dst
-            and self.src == other.src
-            and self.sectag == other.sectag
-            and self.secure_data == other.secure_data
-            and self.icv == other.icv
-        )
-
 
 @dataclass
 class PlainFrame:

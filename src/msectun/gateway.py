@@ -18,14 +18,16 @@ import random
 import secrets as _secrets
 import struct
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 from . import encap, frame as fr, idf as idf_mod, mgmt
-from .enc import EncTunnel, PairKeys
+from .enc import MIN_FRAME as ENC_MIN_FRAME, EncTunnel, PairKeys
 from .flow import (
     DEFAULT_FLOW_TIMEOUT_US,
     DEFAULT_WINDOW,
+    DecodeResult,
+    DownlinkFlows,
     HeaderData,
     UplinkFlowEntry,
     UplinkTable,
@@ -33,7 +35,7 @@ from .flow import (
 )
 from .frame import BROADCAST_MAC, MacsecFrame, is_broadcast
 from .fullenc import FullEncTunnel
-from .idf import IdfDownlink, UnregisteredFlow
+from .idf import IdfDownlink
 
 log = logging.getLogger(__name__)
 
@@ -43,10 +45,6 @@ class Scheme(enum.Enum):
     IDF = "idf"
     ENC = "enc"
     FULLENC = "fullenc"
-
-    @property
-    def encap_tag(self) -> encap.EncapScheme:
-        return encap.EncapScheme[self.name]
 
 
 @dataclass
@@ -66,7 +64,6 @@ class GatewayConfig:
     pair_secrets: dict[str, bytes] = field(default_factory=dict)
     bind_flows: bool = True
     peer_filter: bool = False
-    expire_propagate: bool = True
 
     def __post_init__(self):
         if isinstance(self.scheme, str):
@@ -101,23 +98,9 @@ class GatewayStats:
 
     def as_dict(self) -> dict:
         out = {
-            k: getattr(self, k)
-            for k in (
-                "frames_tunneled",
-                "frames_reconstructed",
-                "datagrams_sent",
-                "datagrams_received",
-                "bytes_lan_in",
-                "bytes_lan_out",
-                "bytes_tun_in",
-                "bytes_tun_out",
-                "mka_forwarded",
-                "hash_calls_uplink",
-                "hash_calls_downlink",
-                "block_ops_uplink",
-                "block_ops_downlink",
-                "ridf_collisions",
-            )
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("drops", "warnings")
         }
         for reason, n in sorted(self.drops.items()):
             out[f"drop_{reason}"] = n
@@ -136,9 +119,169 @@ def _default_pair_secret(a: str, b: str) -> bytes:
     return hashlib.sha256(f"msectun-lab|{lo}|{hi}".encode()).digest()
 
 
-@dataclass
-class _PendingFlow:
-    queue: deque = field(default_factory=deque)
+def _pair_secrets(config: GatewayConfig):
+    """(peer, shared secret) for every configured peer, in order."""
+    for peer in config.peers:
+        yield peer, config.pair_secrets.get(peer) or _default_pair_secret(
+            config.own_id, peer
+        )
+
+
+class SchemeCodec:
+    """One scheme's wire codec; this base class is the naive passthrough.
+
+    The gateway builds one codec for its configured scheme and never
+    asks which scheme it runs.  The codec owns all of that scheme's
+    state, per-peer keys included, and provides:
+
+    - ``tag``: the carrier scheme byte of its datagrams
+    - ``downlink``: its downlink flow table, a ``flow.DownlinkFlows``;
+      announcements register into it and expiries remove from it
+    - ``encode(frame, raw, entry, targets)``: the (body, peers) pairs
+      to send for one LAN frame, or None if the frame is too short for
+      the scheme
+    - ``decode(body, from_peer, now)``: a ``DecodeResult``, the frame
+      or a drop reason
+    - ``on_new_sa(now)``: the (peer, management message) pairs a new
+      uplink SA calls for
+    - ``on_rekey(msg, from_peer, now)``: take a peer's key rotation
+    - ``counters()``: its crypto-operation counters by ``GatewayStats``
+      field name
+    """
+
+    tag = encap.EncapScheme.NAIVE
+    table = DownlinkFlows
+
+    def __init__(self, config: GatewayConfig, rand_bytes: Callable[[int], bytes]):
+        self.downlink = self.table(config.window)
+        self.downlink.bind_flows = config.bind_flows
+
+    def encode(self, frame: MacsecFrame, raw: bytes, entry: UplinkFlowEntry, targets):
+        return ((raw, targets),)
+
+    def decode(self, body: bytes, from_peer: str, now: int) -> DecodeResult:
+        if len(body) < fr.MIN_FRAME_LEN:
+            return DecodeResult(reason="malformed")
+        return DecodeResult(frame=body)
+
+    def on_new_sa(self, now: int):
+        return ()
+
+    def on_rekey(self, msg: mgmt.MgmtMessage, from_peer: str, now: int) -> None:
+        pass
+
+    def counters(self) -> dict:
+        return {}
+
+
+class IdfCodec(SchemeCodec):
+    tag = encap.EncapScheme.IDF
+    table = IdfDownlink
+
+    def __init__(self, config: GatewayConfig, rand_bytes: Callable[[int], bytes]):
+        super().__init__(config, rand_bytes)
+        self.hash_calls_uplink = 0
+
+    def encode(self, frame, raw, entry, targets):
+        body = idf_mod.uplink_encode(frame, entry)
+        self.hash_calls_uplink += 1
+        return ((body, targets),)
+
+    def decode(self, body, from_peer, now):
+        return self.downlink.decode(body)
+
+    def counters(self):
+        return {
+            "hash_calls_uplink": self.hash_calls_uplink,
+            "hash_calls_downlink": self.downlink.hash_calls,
+            "ridf_collisions": self.downlink.ridf_collisions,
+        }
+
+
+class EncCodec(SchemeCodec):
+    tag = encap.EncapScheme.ENC
+    table = EncTunnel
+
+    def __init__(self, config: GatewayConfig, rand_bytes: Callable[[int], bytes]):
+        super().__init__(config, rand_bytes)
+        self._rand_bytes = rand_bytes
+        self.send_keys: dict[str, PairKeys] = {}
+        self.recv_keys: dict[str, PairKeys] = {}
+        for peer, secret in _pair_secrets(config):
+            self.send_keys[peer] = PairKeys(
+                _directional_key(secret, config.own_id), config.grace_us
+            )
+            self.recv_keys[peer] = PairKeys(_directional_key(secret, peer), config.grace_us)
+
+    def encode(self, frame, raw, entry, targets):
+        if len(raw) < ENC_MIN_FRAME:
+            return None
+        tunnel = self.downlink
+        return [(tunnel.encode(raw, self.send_keys[p].current), [p]) for p in targets]
+
+    def decode(self, body, from_peer, now):
+        keys = self.recv_keys.get(from_peer)
+        if keys is None:
+            return DecodeResult(reason="unknown_peer")
+        return self.downlink.decode(body, keys, now)
+
+    def on_new_sa(self, now):
+        """A tunneled SA changed: rotate send-direction keys everywhere."""
+        notices = []
+        for peer, keys in self.send_keys.items():
+            new_key = self._rand_bytes(16)
+            epoch = keys.current.epoch + 1
+            notices.append((peer, mgmt.MgmtMessage.rekey(epoch, new_key)))
+            keys.rotate(new_key, epoch, now)
+        return notices
+
+    def on_rekey(self, msg, from_peer, now):
+        keys = self.recv_keys.get(from_peer)
+        if keys is not None:
+            keys.rotate(msg.key, msg.epoch, now)
+
+    def counters(self):
+        return {
+            "block_ops_uplink": self.downlink.block_ops_uplink,
+            "block_ops_downlink": self.downlink.block_ops_downlink,
+        }
+
+
+class FullEncCodec(SchemeCodec):
+    tag = encap.EncapScheme.FULLENC
+
+    def __init__(self, config: GatewayConfig, rand_bytes: Callable[[int], bytes]):
+        super().__init__(config, rand_bytes)
+        self.send: dict[str, FullEncTunnel] = {}
+        self.recv: dict[str, FullEncTunnel] = {}
+        for peer, secret in _pair_secrets(config):
+            self.send[peer] = FullEncTunnel(
+                _directional_key(secret, config.own_id), config.own_id
+            )
+            self.recv[peer] = FullEncTunnel(_directional_key(secret, peer), peer)
+
+    def encode(self, frame, raw, entry, targets):
+        return [(self.send[p].encode(raw), [p]) for p in targets]
+
+    def decode(self, body, from_peer, now):
+        recv = self.recv.get(from_peer)
+        if recv is None:
+            return DecodeResult(reason="unknown_peer")
+        return recv.decode(body)
+
+    def counters(self):
+        return {
+            "block_ops_uplink": sum(t.block_ops_uplink for t in self.send.values()),
+            "block_ops_downlink": sum(t.block_ops_downlink for t in self.recv.values()),
+        }
+
+
+_CODECS = {
+    Scheme.NAIVE: SchemeCodec,
+    Scheme.IDF: IdfCodec,
+    Scheme.ENC: EncCodec,
+    Scheme.FULLENC: FullEncCodec,
+}
 
 
 class GatewayEngine:
@@ -166,50 +309,18 @@ class GatewayEngine:
         self.stats = GatewayStats()
 
         self.uplink = UplinkTable()
-        # flows peers announced to us: bidf -> (header, origin, when)
-        self._downlink_registry: dict[bytes, tuple[HeaderData, str, int]] = {}
-        self._pending: dict[tuple, _PendingFlow] = {}
+        # frames of unannounced flows: (sci, an, broadcast) -> raw frames
+        self._pending: dict[tuple, deque] = {}
         self._mgmt_retry: deque = deque()
-        self._learned_sent: set[bytes] = set()
         self._mka_buffer: dict[str, deque] = {p: deque() for p in config.peers}
         self._last_hello = 0
         self.peer_liveness: dict[str, int] = {}
 
-        scheme = config.scheme
-        self.idf_downlink: Optional[IdfDownlink] = None
-        self.enc: Optional[EncTunnel] = None
-        self.fullenc: Optional[FullEncTunnel] = None
-        self.send_keys: dict[str, PairKeys] = {}
-        self.recv_keys: dict[str, PairKeys] = {}
-        self._fullenc_recv: dict[str, FullEncTunnel] = {}
-        if scheme is Scheme.IDF:
-            self.idf_downlink = IdfDownlink(config.window)
-            self.idf_downlink.bind_flows = config.bind_flows
-        elif scheme is Scheme.ENC:
-            self.enc = EncTunnel(config.window)
-            self.enc.bind_flows = config.bind_flows
-            for peer in config.peers:
-                secret = config.pair_secrets.get(peer) or _default_pair_secret(
-                    config.own_id, peer
-                )
-                self.send_keys[peer] = PairKeys(
-                    _directional_key(secret, config.own_id), config.grace_us
-                )
-                self.recv_keys[peer] = PairKeys(
-                    _directional_key(secret, peer), config.grace_us
-                )
-        elif scheme is Scheme.FULLENC:
-            for peer in config.peers:
-                secret = config.pair_secrets.get(peer) or _default_pair_secret(
-                    config.own_id, peer
-                )
-                if self.fullenc is None:
-                    self.fullenc = FullEncTunnel(
-                        _directional_key(secret, config.own_id), config.own_id
-                    )
-                self._fullenc_recv[peer] = FullEncTunnel(
-                    _directional_key(secret, peer), peer
-                )
+        self.codec = _CODECS[config.scheme](config, self._rand_bytes)
+        # the identifier tables, for callers that inspect them
+        self.idf_downlink: Optional[IdfDownlink] = (
+            self.codec.downlink if config.scheme is Scheme.IDF else None
+        )
 
     # -- helpers ---------------------------------------------------------
 
@@ -262,8 +373,8 @@ class GatewayEngine:
                 timeout=now + self.config.flow_timeout_us,
             )
             self.uplink.put(entry)
-            if self.config.scheme is Scheme.ENC:
-                self._rekey_all_peers(now)
+            for peer, msg in self.codec.on_new_sa(now):
+                self._mgmt_out(peer, msg)
         entry.timeout = now + self.config.flow_timeout_us
 
         broadcast = is_broadcast(frame.dst)
@@ -278,7 +389,7 @@ class GatewayEngine:
                     self._mgmt_out(peer, mgmt.MgmtMessage.expire(entry.unicast_bidf))
                 stale = self._pending.pop((sci, an, False), None)
                 if stale is not None:
-                    self.stats.drops["unregistered_queue_overflow"] += len(stale.queue)
+                    self.stats.drops["unregistered_queue_overflow"] += len(stale)
                 entry.unicast_bidf = new_bidf(self.rng)
                 entry.unicast_dst = frame.dst
                 entry.announced_unicast = False
@@ -312,23 +423,20 @@ class GatewayEngine:
 
     def _pending_first_pn(self, entry: UplinkFlowEntry, broadcast: bool, fallback: int) -> int:
         pend = self._pending.get((entry.sci, entry.an, broadcast))
-        if pend and pend.queue:
-            return struct.unpack_from(">I", pend.queue[0], 16)[0]
+        if pend:
+            return struct.unpack_from(">I", pend[0], 16)[0]
         return fallback
 
     def _enqueue_pending(self, entry: UplinkFlowEntry, broadcast: bool, data: bytes):
         key = (entry.sci, entry.an, broadcast)
-        pend = self._pending.setdefault(key, _PendingFlow())
-        pend.queue.append(data)
-        while len(pend.queue) > self.config.queue_limit:
-            pend.queue.popleft()
+        pend = self._pending.setdefault(key, deque())
+        pend.append(data)
+        while len(pend) > self.config.queue_limit:
+            pend.popleft()
             self._drop("unregistered_queue_overflow")
 
     def _flush_pending(self, entry: UplinkFlowEntry, broadcast: bool, now: int):
-        pend = self._pending.pop((entry.sci, entry.an, broadcast), None)
-        if not pend:
-            return
-        for raw in pend.queue:
+        for raw in self._pending.pop((entry.sci, entry.an, broadcast), ()):
             try:
                 frame = fr.parse_macsec(raw)
             except fr.FrameError:
@@ -349,36 +457,20 @@ class GatewayEngine:
         else:
             targets = [p for p in entry.remote_gateways if p in cfg.peers]
 
-        scheme = cfg.scheme
+        bodies = self.codec.encode(frame, raw, entry, targets)
+        if bodies is None:
+            self._drop("too_short_for_scheme")
+            return
         sent_any = False
-        if scheme is Scheme.IDF:
-            try:
-                body = idf_mod.uplink_encode(frame, entry)
-            except UnregisteredFlow:
-                self._drop("unregistered_flow")
-                return
-            self.stats.hash_calls_uplink += 1
-            sent_any = self._send_body(body, targets)
-        elif scheme is Scheme.NAIVE:
-            sent_any = self._send_body(raw, targets)
-        elif scheme is Scheme.ENC:
-            if len(raw) < 48:
-                self._drop("too_short_for_scheme")
-                return
-            for peer in targets:
-                body = self.enc.encode(raw, self.send_keys[peer].current)
-                sent_any |= self._send_body(body, [peer])
-        else:  # FULLENC
-            for peer in targets:
-                body = self.fullenc.encode(raw)
-                sent_any |= self._send_body(body, [peer])
+        for body, peers in bodies:
+            sent_any |= self._send_body(body, peers)
         if sent_any:
             self.stats.frames_tunneled += 1
             entry.timeout = now + cfg.flow_timeout_us
 
     def _send_body(self, body: bytes, targets: list[str]) -> bool:
         try:
-            datagram = encap.encap(body, self.config.scheme.encap_tag, self.config.mtu)
+            datagram = encap.encap(body, self.codec.tag, self.config.mtu)
         except encap.TooLarge:
             self._drop("too_large")
             return False
@@ -401,23 +493,15 @@ class GatewayEngine:
                     self._drop("mka_buffer_overflow")
         self.stats.mka_forwarded += 1
 
-    def _rekey_all_peers(self, now: int) -> None:
-        """A tunneled SA changed: rotate send-direction keys everywhere."""
-        for peer in self.config.peers:
-            keys = self.send_keys[peer]
-            new_key = self._rand_bytes(16)
-            epoch = keys.current.epoch + 1
-            self._mgmt_out(peer, mgmt.MgmtMessage.rekey(epoch, new_key))
-            keys.rotate(new_key, epoch, now)
-
     def _learn_from_uplink(self, frame: MacsecFrame) -> None:
         """Reverse traffic for an announced flow: tell the announcer."""
-        for bidf, (header, origin, _) in self._downlink_registry.items():
-            if bidf in self._learned_sent:
+        for flow in self.codec.downlink.flows.values():
+            if flow.learned:
                 continue
+            header = flow.header
             if header.dst == frame.src and header.src == frame.dst:
-                self._learned_sent.add(bidf)
-                self._mgmt_out(origin, mgmt.MgmtMessage.learned(bidf))
+                flow.learned = True
+                self._mgmt_out(flow.origin, mgmt.MgmtMessage.learned(flow.bidf))
 
     # -- downlink ------------------------------------------------------------
 
@@ -432,49 +516,16 @@ class GatewayEngine:
         except encap.EncapError:
             self._drop("decap_error")
             return
-        if scheme_tag is not self.config.scheme.encap_tag:
+        if scheme_tag is not self.codec.tag:
             self._drop("scheme_mismatch")
             return
-
-        scheme = self.config.scheme
-        if scheme is Scheme.NAIVE:
-            if len(body) < fr.MIN_FRAME_LEN:
-                self._drop("malformed")
-                return
-            result_frame = body
-            flow = None
-        elif scheme is Scheme.IDF:
-            res = self.idf_downlink.decode(body)
-            if not res.ok:
-                self._drop(res.reason)
-                return
-            result_frame, flow = res.frame, res.flow
-        elif scheme is Scheme.ENC:
-            keys = self.recv_keys.get(from_peer)
-            if keys is None:
-                self._drop("unknown_peer")
-                return
-            res = self.enc.decode(body, keys, now)
-            if not res.ok:
-                self._drop(res.reason)
-                return
-            result_frame, flow = res.frame, res.flow
-        else:  # FULLENC
-            recv = self._fullenc_recv.get(from_peer)
-            if recv is None:
-                self._drop("unknown_peer")
-                return
-            res = recv.decode(body)
-            if not res.ok:
-                self._drop(res.reason)
-                return
-            result_frame, flow = res.frame, res.flow
-
-        if flow is not None:
-            flow.last_seen = now
+        res = self.codec.decode(body, from_peer, now)
+        if not res.ok:
+            self._drop(res.reason)
+            return
         self.stats.frames_reconstructed += 1
-        self.stats.bytes_lan_out += len(result_frame)
-        self.emit_lan(result_frame)
+        self.stats.bytes_lan_out += len(res.frame)
+        self.emit_lan(res.frame)
 
     # -- management ------------------------------------------------------------
 
@@ -489,35 +540,29 @@ class GatewayEngine:
     def on_mgmt_message(self, msg: mgmt.MgmtMessage, from_peer: str, now: int) -> None:
         kind = msg.kind
         if kind is mgmt.MgmtKind.FLOW_ANNOUNCE:
-            self._handle_announce(msg, from_peer, now)
+            self._handle_announce(msg, from_peer)
         elif kind is mgmt.MgmtKind.FLOW_LEARNED:
             self._handle_learned(msg.bidf, from_peer)
         elif kind is mgmt.MgmtKind.FLOW_EXPIRE:
-            self._remove_downlink(msg.bidf)
+            self.codec.downlink.remove(msg.bidf)
         elif kind is mgmt.MgmtKind.REKEY:
-            keys = self.recv_keys.get(from_peer)
-            if keys is not None:
-                keys.rotate(msg.key, msg.epoch, now)
+            self.codec.on_rekey(msg, from_peer, now)
         elif kind is mgmt.MgmtKind.MKA_FORWARD:
             self.stats.bytes_lan_out += len(msg.frame)
             self.emit_lan(msg.frame)
         elif kind is mgmt.MgmtKind.HELLO:
             self.peer_liveness[from_peer] = now
 
-    def _handle_announce(self, msg: mgmt.MgmtMessage, from_peer: str, now: int) -> None:
-        self._downlink_registry[msg.bidf] = (msg.header, from_peer, now)
-        if self.idf_downlink is not None:
-            self.idf_downlink.register(msg.bidf, msg.header, msg.pn, from_peer)
-        elif self.enc is not None:
-            self.enc.register(msg.bidf, msg.header, msg.pn, from_peer)
+    def _handle_announce(self, msg: mgmt.MgmtMessage, from_peer: str) -> None:
+        flow = self.codec.downlink.register(msg.bidf, msg.header, msg.pn, from_peer)
         # announce may arrive after we already carry the reverse flow
-        if msg.bidf not in self._learned_sent:
+        if not flow.learned:
             for entry in self.uplink.entries():
                 if (
                     entry.unicast_dst == msg.header.src
                     and entry.sci.system_id == msg.header.dst
                 ):
-                    self._learned_sent.add(msg.bidf)
+                    flow.learned = True
                     self._mgmt_out(from_peer, mgmt.MgmtMessage.learned(msg.bidf))
                     break
 
@@ -534,25 +579,15 @@ class GatewayEngine:
                 entry.remote_gateways = {from_peer}
                 return
 
-    def _remove_downlink(self, bidf: bytes) -> None:
-        self._downlink_registry.pop(bidf, None)
-        if self.idf_downlink is not None:
-            self.idf_downlink.remove(bidf)
-        elif self.enc is not None:
-            self.enc.remove(bidf)
-
     # -- timers ------------------------------------------------------------
 
     def on_timer(self, now: int) -> None:
         for entry in self.uplink.expire(now):
-            if self.config.expire_propagate:
-                for peer in self.config.peers:
-                    if entry.announced_unicast:
-                        self._mgmt_out(peer, mgmt.MgmtMessage.expire(entry.unicast_bidf))
-                    if entry.announced_broadcast:
-                        self._mgmt_out(
-                            peer, mgmt.MgmtMessage.expire(entry.broadcast_bidf)
-                        )
+            for peer in self.config.peers:
+                if entry.announced_unicast:
+                    self._mgmt_out(peer, mgmt.MgmtMessage.expire(entry.unicast_bidf))
+                if entry.announced_broadcast:
+                    self._mgmt_out(peer, mgmt.MgmtMessage.expire(entry.broadcast_bidf))
         if now - self._last_hello >= self.config.hello_interval_us:
             self._last_hello = now
             for peer in self.config.peers:
@@ -574,29 +609,9 @@ class GatewayEngine:
 
     def snapshot_stats(self) -> GatewayStats:
         s = self.stats
-        snap = GatewayStats(
-            frames_tunneled=s.frames_tunneled,
-            frames_reconstructed=s.frames_reconstructed,
-            datagrams_sent=s.datagrams_sent,
-            datagrams_received=s.datagrams_received,
-            bytes_lan_in=s.bytes_lan_in,
-            bytes_lan_out=s.bytes_lan_out,
-            bytes_tun_in=s.bytes_tun_in,
-            bytes_tun_out=s.bytes_tun_out,
-            mka_forwarded=s.mka_forwarded,
-            hash_calls_uplink=s.hash_calls_uplink,
+        return replace(
+            s,
             drops=Counter(s.drops),
             warnings=Counter(s.warnings),
+            **self.codec.counters(),
         )
-        if self.idf_downlink is not None:
-            snap.hash_calls_downlink = self.idf_downlink.hash_calls
-            snap.ridf_collisions = self.idf_downlink.ridf_collisions
-        if self.enc is not None:
-            snap.block_ops_uplink = self.enc.block_ops_uplink
-            snap.block_ops_downlink = self.enc.block_ops_downlink
-        if self.fullenc is not None:
-            snap.block_ops_uplink = self.fullenc.block_ops_uplink
-            snap.block_ops_downlink = sum(
-                t.block_ops_downlink for t in self._fullenc_recv.values()
-            )
-        return snap

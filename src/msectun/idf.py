@@ -16,19 +16,16 @@ from __future__ import annotations
 import struct
 from typing import Optional
 
-from .frame import ETHERTYPE_MACSEC, ICV_LEN, MacsecFrame, is_broadcast
+from .frame import ETHERTYPE_MACSEC, ICV_LEN, MacsecFrame
 from .flow import (
     DEFAULT_WINDOW,
     DecodeResult,
     DownlinkFlowEntry,
+    DownlinkFlows,
     HeaderData,
     IdentifierEntry,
-    Sci,
     UplinkFlowEntry,
     WindowStatus,
-    bind,
-    unbind,
-    window_init,
 )
 from .siphash import siphash24
 
@@ -75,23 +72,20 @@ def uplink_encode(frame: MacsecFrame, entry: Optional[UplinkFlowEntry]) -> bytes
     )
 
 
-class IdfDownlink:
+class IdfDownlink(DownlinkFlows):
     """Downlink flow and identifier tables plus the decode path.
 
-    Single-writer: one gateway pipeline owns the instance.  The
+    Flows are keyed by base identifier, as in the core table.  The
     identifier table always holds every PN covered by each flow's
-    window, consumed ones flagged seen so replays stay classifiable
-    until they slide out of the covered range.
+    window; the window tells consumed PNs apart, so replays stay
+    classifiable until they slide out of the covered range.
     """
 
     def __init__(self, window_size: int = DEFAULT_WINDOW):
-        self.window_size = window_size
-        self.flows: dict[bytes, DownlinkFlowEntry] = {}
+        super().__init__(window_size)
         self.ids: dict[int, IdentifierEntry] = {}
-        self._by_sa: dict[tuple[Sci, int], set[bytes]] = {}
         self.hash_calls = 0
         self.ridf_collisions = 0
-        self.bind_flows = True
         # test hook: reconstruct the PN by counting instead of from the
         # identifier entry, reproducing the failure mode that rotating
         # identifiers and flow binding exist to prevent
@@ -99,7 +93,7 @@ class IdfDownlink:
 
     # -- table maintenance -------------------------------------------------
 
-    def _insert_id(self, flow: DownlinkFlowEntry, pn: int, seen: bool) -> None:
+    def _insert_id(self, flow: DownlinkFlowEntry, pn: int) -> None:
         ridf = derive_ridf(flow.bidf, pn)
         self.hash_calls += 1
         existing = self.ids.get(ridf)
@@ -107,7 +101,7 @@ class IdfDownlink:
             # cross-flow collision: keep the older entry, count the event
             self.ridf_collisions += 1
             return
-        self.ids[ridf] = IdentifierEntry(ridf=ridf, pn=pn, flow=flow, seen=seen)
+        self.ids[ridf] = IdentifierEntry(ridf=ridf, pn=pn, flow=flow)
         flow.ids[pn] = ridf
 
     def _drop_id(self, flow: DownlinkFlowEntry, pn: int) -> None:
@@ -117,62 +111,19 @@ class IdfDownlink:
             if ent is not None and ent.flow is flow:
                 del self.ids[ridf]
 
-    def _clear_ids(self, flow: DownlinkFlowEntry) -> None:
+    def _forget(self, flow: DownlinkFlowEntry) -> None:
         for pn in list(flow.ids):
             self._drop_id(flow, pn)
 
-    def _rebuild_ids(self, flow: DownlinkFlowEntry) -> None:
-        self._clear_ids(flow)
-        for pn, seen in flow.window.pn_states():
-            self._insert_id(flow, pn, seen)
+    def _refill(self, flow: DownlinkFlowEntry) -> None:
+        self._forget(flow)
+        for pn in range(flow.window.floor, flow.window.top + 1):
+            self._insert_id(flow, pn)
 
-    # -- announcements -----------------------------------------------------
-
-    def register(
-        self, bidf: bytes, header: HeaderData, pn: int, origin: str = ""
-    ) -> DownlinkFlowEntry:
-        """Create (or refresh) a downlink flow from an announcement."""
-        entry = self.flows.get(bidf)
-        if entry is not None:
-            if entry.window is not None and pn > entry.window.lowest_unseen():
-                # re-announce with a newer PN: sender restarted, reset
-                entry.window.__init__(pn, self.window_size)
-                self._rebuild_ids(entry)
-                if entry.bound is not None:
-                    entry.bound.window = entry.window
-                    self._rebuild_ids(entry.bound)
-            return entry
-
-        entry = DownlinkFlowEntry(bidf=bidf, header=header, origin=origin)
-        window_init(entry, pn, self.window_size)
-        for p in entry.window.pending_pns():
-            self._insert_id(entry, p, seen=False)
-        self.flows[bidf] = entry
-        sa = (header.sci, header.an)
-        peers = self._by_sa.setdefault(sa, set())
-        if self.bind_flows:
-            for other_bidf in peers:
-                other = self.flows[other_bidf]
-                if is_broadcast(other.header.dst) != is_broadcast(header.dst):
-                    bind(entry, other)
-                    self._rebuild_ids(entry)
-                    self._rebuild_ids(other)
-                    break
-        peers.add(bidf)
-        return entry
-
-    def remove(self, bidf: bytes) -> None:
-        entry = self.flows.pop(bidf, None)
-        if entry is None:
-            return
-        self._clear_ids(entry)
-        unbind(entry)
-        sa = (entry.header.sci, entry.header.an)
-        peers = self._by_sa.get(sa)
-        if peers:
-            peers.discard(bidf)
-            if not peers:
-                del self._by_sa[sa]
+    # bound on this class, not only inherited, so that each scheme's
+    # table upkeep can be timed apart (perfbench/tracing.py)
+    register = DownlinkFlows.register
+    remove = DownlinkFlows.remove
 
     # -- decode ------------------------------------------------------------
 
@@ -184,12 +135,12 @@ class IdfDownlink:
         ident = self.ids.get(ridf)
         if ident is None:
             return DecodeResult(reason=REASON_UNKNOWN_IDENTIFIER)
-        if ident.seen:
+        flow = ident.flow
+        if flow.window.is_seen(ident.pn):
             return DecodeResult(reason=REASON_REPLAY)
         if tci_flags & 0x03:
             # AN bits travel in the flow state, never on the wire
             return DecodeResult(reason=REASON_MALFORMED)
-        flow = ident.flow
         pn = flow.window.lowest_unseen() if self.naive_pn_reconstruction else ident.pn
         res = flow.window.accept(ident.pn)
         if res.status is WindowStatus.REPLAY:
@@ -198,13 +149,10 @@ class IdfDownlink:
             return DecodeResult(reason=REASON_OUT_OF_WINDOW)
         flows = (flow,) if flow.bound is None else (flow, flow.bound)
         for fl in flows:
-            mirrored = self.ids.get(fl.ids.get(ident.pn, -1))
-            if mirrored is not None:
-                mirrored.seen = True
             for p in res.evicted:
                 self._drop_id(fl, p)
             for p in res.entered:
-                self._insert_id(fl, p, seen=False)
+                self._insert_id(fl, p)
 
         hdr = flow.header
         frame = (
@@ -214,7 +162,7 @@ class IdfDownlink:
             + hdr.sci.pack()
             + body[10:]
         )
-        return DecodeResult(frame=frame, flow=flow)
+        return DecodeResult(frame=frame)
 
     # -- test support --------------------------------------------------------
 
@@ -222,15 +170,14 @@ class IdfDownlink:
         """Assert identifier-table coherence against every flow window."""
         owned = 0
         for flow in self.flows.values():
-            states = dict(flow.window.pn_states())
-            assert set(flow.ids) <= set(states), "entry outside window range"
-            missing = set(states) - set(flow.ids)
+            covered = set(range(flow.window.floor, flow.window.top + 1))
+            assert set(flow.ids) <= covered, "entry outside window range"
+            missing = covered - set(flow.ids)
             # entries may be missing only through cross-flow collisions
             assert len(missing) <= self.ridf_collisions
             for pn, ridf in flow.ids.items():
                 ent = self.ids[ridf]
                 assert ent.flow is flow and ent.pn == pn
-                assert ent.seen == states[pn], f"seen mismatch at pn {pn}"
                 assert ridf == derive_ridf(flow.bidf, pn)
                 owned += 1
         assert owned == len(self.ids), "orphan identifier entries"

@@ -275,7 +275,7 @@ def test_c05_attack_random_injection_idf():
 
 def test_c05_attack_random_injection_enc():
     pair = _fresh_pair(Scheme.ENC)
-    epoch = pair.a.send_keys["B"].current.epoch & 0xFF
+    epoch = pair.a.codec.send_keys["B"].current.epoch & 0xFF
     rng = random.Random(507)
     emitted_before = len(pair.emitted["B"])
     before = pair.b.snapshot_stats()
@@ -529,8 +529,8 @@ def test_c09_rekey_on_sa_change():
     assert a1.rollovers == 1
     gwa, gwb = s.gateways["gw-A"], s.gateways["gw-B"]
     # epoch: 1 after the first SA appeared, 2 after the rollover SA
-    assert gwa.send_keys["gw-B"].current.epoch == 2
-    assert gwb.recv_keys["gw-A"].current.epoch == 2
+    assert gwa.codec.send_keys["gw-B"].current.epoch == 2
+    assert gwb.codec.recv_keys["gw-A"].current.epoch == 2
     stats_b = gwb.snapshot_stats()
     # within grace the stolen old-epoch datagram is accepted...
     assert len(b1.accepted) == total - 1  # only the post-grace one is lost
@@ -642,8 +642,8 @@ def test_c10_fuzz_idf_decoder():
 
 def test_c10_fuzz_enc_decoder():
     pair = _fresh_pair(Scheme.ENC, frames=40)
-    tun = pair.b.enc
-    keys = pair.b.recv_keys["A"]
+    tun = pair.b.codec.downlink
+    keys = pair.b.codec.recv_keys["A"]
     base = pair.captured[-1][2][8:]
     rng = random.Random(115)
     decoded = dropped = 0

@@ -226,6 +226,43 @@ def test_random_injections_rejected():
     assert accepted == 0
 
 
+def _index_sizes(tun):
+    return {name: len(v) for name, v in vars(tun).items() if isinstance(v, dict)}
+
+
+def test_churn_leaves_no_index_entries():
+    tun = EncTunnel(window_size=4)
+    for i in range(1000):
+        sci = Sci(i.to_bytes(6, "big"), 1)
+        uni, bc = (2 * i).to_bytes(16, "big"), (2 * i + 1).to_bytes(16, "big")
+        tun.register(uni, HeaderData(DST, sci.system_id, sci, 0), 1)
+        tun.register(bc, HeaderData(BROADCAST_MAC, sci.system_id, sci, 0), 1)
+        tun.remove(uni)
+        tun.remove(bc)
+    assert not any(_index_sizes(tun).values()), _index_sizes(tun)
+
+
+def test_stale_expire_keeps_reannounced_flow():
+    tun = _tunnel()
+    send, recv = _keys()
+    # the sender re-announces the flow under a new base identifier, then
+    # the expire for the old identifier arrives late
+    tun.register(b"\x0c" * 16, HeaderData(DST, SCI.system_id, SCI, 0), 1)
+    tun.remove(b"\x0a" * 16)
+    assert tun.decode(tun.encode(_protected(1), send.current), recv, 0).ok
+    tun.remove(b"\x0c" * 16)
+    assert not any(_index_sizes(tun).values()), _index_sizes(tun)
+
+
+def test_reused_bidf_replaces_the_older_flow():
+    tun = _tunnel()
+    other = Sci(b"\x02\x00\x00\x00\x00\x03", 1)
+    # a second flow announced under the first one's base identifier
+    tun.register(b"\x0a" * 16, HeaderData(DST, other.system_id, other, 0), 1)
+    tun.remove(b"\x0a" * 16)
+    assert not any(_index_sizes(tun).values()), _index_sizes(tun)
+
+
 # -- key epochs -------------------------------------------------------------------
 
 

@@ -89,24 +89,22 @@ def test_classify_an_distinct():
 
 def test_window_init_enumerates():
     entry = DownlinkFlowEntry(bidf=b"\x00" * 16, header=_header())
-    idents = window_init(entry, 1, 4, ridf_for_pn=lambda p: p * 1000)
-    assert [e.pn for e in idents] == [1, 2, 3, 4]
-    assert all(not e.seen for e in idents)
-    assert [e.ridf for e in idents] == [1000, 2000, 3000, 4000]
+    window_init(entry, 1, 4)
+    assert entry.window.pending_pns() == [1, 2, 3, 4]
 
 
 def test_window_init_w1_strict_in_order():
     entry = DownlinkFlowEntry(bidf=b"\x00" * 16, header=_header())
-    idents = window_init(entry, 5, 1, ridf_for_pn=lambda p: p)
-    assert [e.pn for e in idents] == [5]
+    window_init(entry, 5, 1)
+    assert entry.window.pending_pns() == [5]
     assert window_accept(entry, 6).status is WindowStatus.OUT_OF_WINDOW
     assert window_accept(entry, 5).status is WindowStatus.ACCEPT
 
 
 def test_window_init_truncates_at_pn_max():
     entry = DownlinkFlowEntry(bidf=b"\x00" * 16, header=_header())
-    idents = window_init(entry, PN_MAX - 2, 8, ridf_for_pn=lambda p: p)
-    pns = [e.pn for e in idents]
+    window_init(entry, PN_MAX - 2, 8)
+    pns = entry.window.pending_pns()
     assert pns == [PN_MAX - 2, PN_MAX - 1, PN_MAX]
     assert all(p >= PN_MAX - 2 for p in pns)  # no wraparound below start
 

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import MAC_A, MAC_B, SCI_A, SCI_B, EnginePair, protect
 from msectun.encap import EncapScheme, encap
-from msectun.frame import BROADCAST_MAC
+from msectun.frame import BROADCAST_MAC, Sci
 from msectun.gateway import GatewayConfig, Scheme
 from msectun.mgmt import MgmtMessage, encode_message
 
@@ -126,6 +126,27 @@ def test_flow_expiry_propagates():
     assert bidf not in pair.b.idf_downlink.flows
 
 
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_flow_state_ends_with_its_flow(scheme):
+    """Announce, learn and expire many flows: no per-flow state remains."""
+    pair = EnginePair(scheme, flow_timeout_us=1000)
+    n = 16
+    for i in range(n):
+        mac_a, mac_b = MAC_A[:5] + bytes([i]), MAC_B[:5] + bytes([i])
+        sci_a, sci_b = Sci(mac_a, 1), Sci(mac_b, 1)
+        pair.lan_a(protect(mac_b, mac_a, sci_a, 1)[1], now=0)
+        pair.lan_a(protect(BROADCAST_MAC, mac_a, sci_a, 2)[1])
+        pair.lan_b(protect(mac_a, mac_b, sci_b, 1)[1])  # the reply is learned
+    for gw in (pair.a, pair.b):
+        assert sum(f.learned for f in gw.codec.downlink.flows.values()) == n
+    pair.a.on_timer(now=2000)
+    pair.b.on_timer(now=2000)
+    for gw in (pair.a, pair.b):
+        tables = {k: len(v) for k, v in vars(gw.codec.downlink).items() if isinstance(v, dict)}
+        assert not any(tables.values()), tables
+        assert len(gw.uplink) == 0 and not gw._pending
+
+
 def test_stats_monotone_and_snapshots_independent():
     pair = EnginePair(Scheme.ENC)
     snaps = []
@@ -144,12 +165,12 @@ def test_enc_rekey_on_new_sa():
     pair = EnginePair(Scheme.ENC)
     _, raw = protect(MAC_B, MAC_A, SCI_A, 1)
     pair.lan_a(raw)
-    assert pair.a.send_keys["B"].current.epoch == 1
-    assert pair.b.recv_keys["A"].current.epoch == 1
+    assert pair.a.codec.send_keys["B"].current.epoch == 1
+    assert pair.b.codec.recv_keys["A"].current.epoch == 1
     # second SA (AN rollover) bumps the epoch again
     _, raw2 = protect(MAC_B, MAC_A, SCI_A, 1, an=1)
     pair.lan_a(raw2)
-    assert pair.a.send_keys["B"].current.epoch == 2
+    assert pair.a.codec.send_keys["B"].current.epoch == 2
     assert pair.emitted["B"] == [raw, raw2]
 
 

@@ -99,10 +99,11 @@ def test_reorder_within_window_tolerated():
     assert s.gateways["gw-B"].snapshot_stats().dropped() == 0
 
 
-def test_three_lans_broadcast_and_binding():
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_three_lans_broadcast_and_binding(scheme):
     cfg = ScenarioConfig(
         lans={"A": ["a1"], "B": ["b1"], "C": ["c1"]},
-        scheme=Scheme.IDF,
+        scheme=scheme,
         net=NetModel(seed=3, latency_us=200),
         traffic=[
             TrafficSpec(device="a1", dst="b1", count=200, interval_us=60, payload_len=50),
