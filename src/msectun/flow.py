@@ -5,7 +5,15 @@ keyed by (SCI, AN, destination MAC).  The uplink table is keyed by
 (SCI, AN) and holds one unicast and one broadcast base identifier per
 security association; the downlink flow table is keyed by base
 identifier; the identifier table is keyed by rotating identifier.
-No operation looks anything up by any other key.
+
+Flow learning looks entries up by three more keys, each kept as an
+index by the table that owns the data, so that control-plane work does
+not grow with the number of flows:
+
+- downlink flows by (header dst, header src), for reverse traffic
+- uplink entries by unicast base identifier, for learned notices
+- a count of uplink entries by (SCI system id, unicast destination),
+  for announcements of a flow the gateway already carries in reverse
 """
 
 from __future__ import annotations
@@ -261,7 +269,8 @@ class DownlinkFlows:
     replay window from an announcement, resets the window when a
     re-announcement carries a newer PN (the sender restarted), and binds
     the flow to the opposite-cast flow of the same SA.  ``remove`` undoes
-    all of it, so no index outlives its flow.  A scheme that finds flows
+    all of it, so no index outlives its flow.  ``addressed`` finds flows
+    by header addresses, for flow learning.  A scheme that finds flows
     by another key overrides ``_find``, ``_added`` and ``_forget``; one
     that keeps state per window position overrides ``_refill`` and
     ``_forget``.  Single-writer: one gateway pipeline owns the instance.
@@ -272,6 +281,8 @@ class DownlinkFlows:
         self.bind_flows = True
         self.flows: dict[bytes, DownlinkFlowEntry] = {}
         self._by_sa: dict[tuple[Sci, int], list[DownlinkFlowEntry]] = {}
+        # (header dst, header src) -> flows, in ``flows`` order
+        self._by_addr: dict[tuple[bytes, bytes], list[DownlinkFlowEntry]] = {}
 
     # -- scheme hooks ------------------------------------------------------
 
@@ -306,6 +317,9 @@ class DownlinkFlows:
                 # expire for the old one must not remove the flow
                 del self.flows[entry.bidf]
                 self.flows[bidf] = entry
+                same_addr = self._by_addr[entry.header.dst, entry.header.src]
+                same_addr.remove(entry)
+                same_addr.append(entry)
                 entry.bidf = bidf
                 entry.learned = False
             if pn > entry.window.lowest_unseen():
@@ -319,6 +333,7 @@ class DownlinkFlows:
         entry = DownlinkFlowEntry(bidf=bidf, header=header, origin=origin)
         window_init(entry, pn, self.window_size)
         self.flows[bidf] = entry
+        self._by_addr.setdefault((header.dst, header.src), []).append(entry)
         self._added(entry)
         same_sa = self._by_sa.setdefault((header.sci, header.an), [])
         if self.bind_flows:
@@ -342,26 +357,82 @@ class DownlinkFlows:
         same_sa.remove(entry)
         if not same_sa:
             del self._by_sa[sa]
+        addr = (entry.header.dst, entry.header.src)
+        same_addr = self._by_addr[addr]
+        same_addr.remove(entry)
+        if not same_addr:
+            del self._by_addr[addr]
+
+    def addressed(self, dst: bytes, src: bytes) -> list[DownlinkFlowEntry]:
+        """The flows whose header carries ``dst`` and ``src``, in ``flows`` order."""
+        return list(self._by_addr.get((dst, src), ()))
 
 
 class UplinkTable:
-    """Uplink flow entries keyed by (SCI, AN)."""
+    """Uplink flow entries keyed by (SCI, AN), with two learning indexes.
+
+    Entries are also found by unicast base identifier (``by_unicast_bidf``)
+    and counted by (SCI system id, unicast destination) (``has_unicast``).
+    Once an entry is in the table, the table is the only writer of its
+    ``unicast_bidf`` and ``unicast_dst``: change them with ``set_unicast``
+    so that both indexes follow.  Two entries that share a unicast base
+    identifier (random 128-bit values never do) are found by the later
+    one until it leaves.
+    """
 
     def __init__(self):
         self._entries: dict[tuple[Sci, int], UplinkFlowEntry] = {}
+        self._by_bidf: dict[bytes, UplinkFlowEntry] = {}
+        self._dst_count: dict[tuple[bytes, bytes], int] = {}
 
     def get(self, sci: Sci, an: int) -> Optional[UplinkFlowEntry]:
         return self._entries.get((sci, an))
 
+    def by_unicast_bidf(self, bidf: bytes) -> Optional[UplinkFlowEntry]:
+        return self._by_bidf.get(bidf)
+
+    def has_unicast(self, src: bytes, dst: bytes) -> bool:
+        """Whether an entry of station ``src`` sends unicast to ``dst``."""
+        return (src, dst) in self._dst_count
+
     def put(self, entry: UplinkFlowEntry) -> None:
+        old = self._entries.get((entry.sci, entry.an))
+        if old is not None:
+            self._unindex(old)
         self._entries[(entry.sci, entry.an)] = entry
+        self._index(entry)
+
+    def set_unicast(self, entry: UplinkFlowEntry, dst: bytes, bidf: bytes) -> None:
+        """Point the entry's unicast flow at ``dst`` under ``bidf``."""
+        self._unindex(entry)
+        entry.unicast_dst = dst
+        entry.unicast_bidf = bidf
+        self._index(entry)
 
     def expire(self, now: int) -> list[UplinkFlowEntry]:
         """Drop entries whose timeout passed; caller cascades notices."""
         dead = [e for e in self._entries.values() if e.timeout < now]
         for e in dead:
             del self._entries[(e.sci, e.an)]
+            self._unindex(e)
         return dead
+
+    def _index(self, entry: UplinkFlowEntry) -> None:
+        self._by_bidf[entry.unicast_bidf] = entry
+        if entry.unicast_dst is not None:
+            key = (entry.sci.system_id, entry.unicast_dst)
+            self._dst_count[key] = self._dst_count.get(key, 0) + 1
+
+    def _unindex(self, entry: UplinkFlowEntry) -> None:
+        if self._by_bidf.get(entry.unicast_bidf) is entry:
+            del self._by_bidf[entry.unicast_bidf]
+        if entry.unicast_dst is not None:
+            key = (entry.sci.system_id, entry.unicast_dst)
+            n = self._dst_count[key] - 1
+            if n:
+                self._dst_count[key] = n
+            else:
+                del self._dst_count[key]
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -378,21 +378,22 @@ class GatewayEngine:
         entry.timeout = now + self.config.flow_timeout_us
 
         broadcast = is_broadcast(frame.dst)
-        if not broadcast:
-            if entry.unicast_dst is None:
-                entry.unicast_dst = frame.dst
-            elif entry.unicast_dst != frame.dst:
+        if not broadcast and entry.unicast_dst != frame.dst:
+            bidf = entry.unicast_bidf
+            if entry.unicast_dst is not None:
                 # the per-SA entry tracks one unicast destination; a
-                # second one rotates the base identifier to a new flow
+                # second one rotates the base identifier to a new flow,
+                # whose far gateway is not learned yet
                 self.stats.warnings["unicast_dst_change"] += 1
                 for peer in self.config.peers:
-                    self._mgmt_out(peer, mgmt.MgmtMessage.expire(entry.unicast_bidf))
+                    self._mgmt_out(peer, mgmt.MgmtMessage.expire(bidf))
                 stale = self._pending.pop((sci, an, False), None)
                 if stale is not None:
                     self.stats.drops["unregistered_queue_overflow"] += len(stale)
-                entry.unicast_bidf = new_bidf(self.rng)
-                entry.unicast_dst = frame.dst
+                bidf = new_bidf(self.rng)
+                entry.remote_gateways = set()
                 entry.announced_unicast = False
+            self.uplink.set_unicast(entry, frame.dst, bidf)
 
         announced = entry.announced_broadcast if broadcast else entry.announced_unicast
         if not announced:
@@ -495,11 +496,8 @@ class GatewayEngine:
 
     def _learn_from_uplink(self, frame: MacsecFrame) -> None:
         """Reverse traffic for an announced flow: tell the announcer."""
-        for flow in self.codec.downlink.flows.values():
-            if flow.learned:
-                continue
-            header = flow.header
-            if header.dst == frame.src and header.src == frame.dst:
+        for flow in self.codec.downlink.addressed(frame.src, frame.dst):
+            if not flow.learned:
                 flow.learned = True
                 self._mgmt_out(flow.origin, mgmt.MgmtMessage.learned(flow.bidf))
 
@@ -556,28 +554,22 @@ class GatewayEngine:
     def _handle_announce(self, msg: mgmt.MgmtMessage, from_peer: str) -> None:
         flow = self.codec.downlink.register(msg.bidf, msg.header, msg.pn, from_peer)
         # announce may arrive after we already carry the reverse flow
-        if not flow.learned:
-            for entry in self.uplink.entries():
-                if (
-                    entry.unicast_dst == msg.header.src
-                    and entry.sci.system_id == msg.header.dst
-                ):
-                    flow.learned = True
-                    self._mgmt_out(from_peer, mgmt.MgmtMessage.learned(msg.bidf))
-                    break
+        if not flow.learned and self.uplink.has_unicast(msg.header.dst, msg.header.src):
+            flow.learned = True
+            self._mgmt_out(from_peer, mgmt.MgmtMessage.learned(msg.bidf))
 
     def _handle_learned(self, bidf: bytes, from_peer: str) -> None:
-        for entry in self.uplink.entries():
-            if entry.unicast_bidf == bidf:
-                if entry.remote_gateways and entry.remote_gateways != {from_peer}:
-                    self.stats.warnings["learned_conflict"] += 1
-                    log.warning(
-                        "flow claimed by %s and %s; keeping the newer claim",
-                        entry.remote_gateways,
-                        from_peer,
-                    )
-                entry.remote_gateways = {from_peer}
-                return
+        entry = self.uplink.by_unicast_bidf(bidf)
+        if entry is None:
+            return
+        if entry.remote_gateways and entry.remote_gateways != {from_peer}:
+            self.stats.warnings["learned_conflict"] += 1
+            log.warning(
+                "flow claimed by %s and %s; keeping the newer claim",
+                entry.remote_gateways,
+                from_peer,
+            )
+        entry.remote_gateways = {from_peer}
 
     # -- timers ------------------------------------------------------------
 

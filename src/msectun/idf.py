@@ -111,14 +111,27 @@ class IdfDownlink(DownlinkFlows):
             if ent is not None and ent.flow is flow:
                 del self.ids[ridf]
 
+    def _find(self, bidf: bytes, header: HeaderData) -> Optional[DownlinkFlowEntry]:
+        entry = self.flows.get(bidf)
+        # a flow's identifiers derive from its bidf and ``_refill`` keeps
+        # them, so a flow must be found by that bidf and never renamed;
+        # finding it by another key would require rebuilding its ids
+        assert entry is None or entry.bidf == bidf
+        return entry
+
     def _forget(self, flow: DownlinkFlowEntry) -> None:
         for pn in list(flow.ids):
             self._drop_id(flow, pn)
 
     def _refill(self, flow: DownlinkFlowEntry) -> None:
-        self._forget(flow)
-        for pn in range(flow.window.floor, flow.window.top + 1):
-            self._insert_id(flow, pn)
+        """Drop the identifiers the window left; hash only the PNs it lacks."""
+        floor, top = flow.window.floor, flow.window.top
+        ids = flow.ids
+        for pn in [p for p in ids if p < floor or p > top]:
+            self._drop_id(flow, pn)
+        for pn in range(floor, top + 1):
+            if pn not in ids:
+                self._insert_id(flow, pn)
 
     # bound on this class, not only inherited, so that each scheme's
     # table upkeep can be timed apart (perfbench/tracing.py)

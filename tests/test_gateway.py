@@ -1,5 +1,8 @@
 """Gateway engine: uplink/downlink paths, discovery, learning, counters."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from conftest import MAC_A, MAC_B, SCI_A, SCI_B, EnginePair, protect
@@ -142,9 +145,71 @@ def test_flow_state_ends_with_its_flow(scheme):
     pair.a.on_timer(now=2000)
     pair.b.on_timer(now=2000)
     for gw in (pair.a, pair.b):
-        tables = {k: len(v) for k, v in vars(gw.codec.downlink).items() if isinstance(v, dict)}
-        assert not any(tables.values()), tables
+        for table in (gw.codec.downlink, gw.uplink):
+            sizes = {k: len(v) for k, v in vars(table).items() if isinstance(v, dict)}
+            assert not any(sizes.values()), sizes
         assert len(gw.uplink) == 0 and not gw._pending
+
+
+def _check_indexes(gw):
+    """Every lookup index agrees with a full scan of its table."""
+    up = gw.uplink.entries()
+    assert {b: id(e) for b, e in gw.uplink._by_bidf.items()} == {
+        e.unicast_bidf: id(e) for e in up
+    }
+    dsts = Counter((e.sci.system_id, e.unicast_dst) for e in up if e.unicast_dst is not None)
+    assert gw.uplink._dst_count == dict(dsts)
+    for e in up:
+        assert gw.uplink.by_unicast_bidf(e.unicast_bidf) is e
+        if e.unicast_dst is not None:
+            assert gw.uplink.has_unicast(e.sci.system_id, e.unicast_dst)
+
+    down = gw.codec.downlink
+    scan = {}
+    for bidf, flow in down.flows.items():
+        assert flow.bidf == bidf
+        scan.setdefault((flow.header.dst, flow.header.src), []).append(id(flow))
+    assert {k: [id(f) for f in v] for k, v in down._by_addr.items()} == scan
+    for (dst, src), flows in scan.items():
+        assert [id(f) for f in down.addressed(dst, src)] == flows
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_indexes_match_full_scans(scheme):
+    """New SAs, replies, AN rollover, destination changes and expiry."""
+    rnd = random.Random(20)
+    pair = EnginePair(scheme, flow_timeout_us=1000)
+    macs = {"A": [MAC_A[:5] + bytes([i]) for i in range(4)]}
+    macs["B"] = [MAC_B[:5] + bytes([i]) for i in range(4)]
+    an = {mac: 0 for side in macs.values() for mac in side}
+    pn = Counter()
+    send = {"A": pair.lan_a, "B": pair.lan_b}
+    seen = Counter()
+    for _ in range(300):
+        roll = rnd.random()
+        if roll < 0.05:
+            seen["expired"] += len(pair.a.uplink) + len(pair.b.uplink)
+            pair.now += 2000  # every entry times out
+            pair.a.on_timer(pair.now)
+            pair.b.on_timer(pair.now)
+        elif roll < 0.12:
+            mac = rnd.choice(macs[rnd.choice("AB")])
+            an[mac] = (an[mac] + 1) % 4  # the device moves to a new SA
+        else:
+            side = rnd.choice("AB")
+            src = rnd.choice(macs[side])
+            far = macs["B" if side == "A" else "A"]
+            dst = BROADCAST_MAC if rnd.random() < 0.15 else rnd.choice(far)
+            pn[src, an[src]] += 1
+            pair.now += rnd.randrange(300)
+            send[side](protect(dst, src, Sci(src, 1), pn[src, an[src]], an=an[src])[1])
+        for gw in (pair.a, pair.b):
+            _check_indexes(gw)
+            seen["learned"] += sum(e.remote_gateways != set() for e in gw.uplink.entries())
+    # the sequence reached learning, destination changes and expiry
+    seen.update(pair.a.snapshot_stats().warnings)
+    assert seen["learned"] and seen["unicast_dst_change"] and seen["expired"], seen
+    assert pair.b.snapshot_stats().warnings["unicast_dst_change"]
 
 
 def test_stats_monotone_and_snapshots_independent():

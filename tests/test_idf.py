@@ -316,3 +316,33 @@ def test_steady_state_hash_counts():
     for pn in range(6, 106):
         assert dn.decode(uplink_encode(_protected(pn)[0], entry)).ok
     assert dn.hash_calls - before == 100
+
+
+def test_refill_hashes_only_new_identifiers():
+    """Binding and re-announce hash only the PNs a flow does not hold."""
+    window = 16
+    entry = _uplink_entry()
+    dn = IdfDownlink(window_size=window)
+    uni = dn.register(entry.unicast_bidf, HeaderData(DST, SCI.system_id, SCI, 0), 1)
+    assert dn.hash_calls == window
+    dn.audit()
+    # the broadcast partner binds to the unicast window [1, 16]: the
+    # unicast flow keeps its identifiers, only the partner is hashed
+    bc = dn.register(entry.broadcast_bidf, HeaderData(BROADCAST_MAC, SCI.system_id, SCI, 0), 2)
+    assert bc.window is uni.window and (uni.window.floor, uni.window.top) == (1, window)
+    assert dn.hash_calls == 2 * window
+    dn.audit()
+    # a re-announce at PN 5 resets the shared window to [5, 20]: PNs
+    # 17..20 are new to the range, for each of the two flows
+    before = dn.hash_calls
+    dn.register(entry.unicast_bidf, HeaderData(DST, SCI.system_id, SCI, 0), 5)
+    assert (uni.window.floor, uni.window.top) == (5, window + 4)
+    assert dn.hash_calls - before == 2 * 4
+    assert sorted(uni.ids) == sorted(bc.ids) == list(range(5, window + 5))
+    dn.audit()
+    # a reset past the whole range renews every identifier
+    before = dn.hash_calls
+    dn.register(entry.unicast_bidf, HeaderData(DST, SCI.system_id, SCI, 0), 1000)
+    assert dn.hash_calls - before == 2 * window
+    assert len(dn.ids) == 2 * window
+    dn.audit()

@@ -1,10 +1,12 @@
 """Real-socket mode and the command line front ends."""
 
 import json
+import os
 import socket
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +91,10 @@ def test_parse_hostport():
 
 def test_bench_cli(tmp_path):
     out = tmp_path / "r.csv"
+    # the child imports this checkout, whatever put it on sys.path here
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, inherited))))
     proc = subprocess.run(
         [
             sys.executable,
@@ -98,6 +104,7 @@ def test_bench_cli(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
 

@@ -121,6 +121,30 @@ def test_three_lans_broadcast_and_binding(scheme):
         assert gw.snapshot_stats().dropped() == 0
 
 
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_unicast_dst_change_forgets_learned_gateway(scheme):
+    """a1 talks to b1 (learned: B only), then to c1 on another LAN."""
+    cfg = ScenarioConfig(
+        lans={"A": ["a1"], "B": ["b1"], "C": ["c1"]},
+        scheme=scheme,
+        net=NetModel(seed=4, latency_us=200),
+        traffic=[
+            TrafficSpec(device="a1", dst="b1", count=20, interval_us=100, payload_len=50),
+            TrafficSpec(device="b1", dst="a1", count=20, start_us=50, interval_us=100, payload_len=50),
+            TrafficSpec(device="a1", dst="c1", count=20, start_us=5000, interval_us=100, payload_len=50),
+        ],
+        duration_us=1_000_000,
+    )
+    s = run_scenario(cfg)
+    assert len(s.devices["b1"].accepted) == 20
+    assert len(s.devices["a1"].accepted) == 20
+    assert len(s.devices["c1"].accepted) == 20
+    gw_a = s.gateways["gw-A"]
+    assert gw_a.snapshot_stats().warnings["unicast_dst_change"] == 1
+    for gw in s.gateways.values():
+        assert gw.snapshot_stats().dropped() == 0
+
+
 def test_mka_goes_over_mgmt_not_tunnel():
     cfg = _basic_cfg(
         traffic=[
