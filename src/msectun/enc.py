@@ -45,8 +45,8 @@ DEFAULT_GRACE_US = 2_000_000
 REASON_BAD_EPOCH = "bad_epoch"
 REASON_UNKNOWN_FLOW = "unknown_flow"
 REASON_HEADER_MISMATCH = "header_mismatch"
-REASON_REPLAY = "replay"
-REASON_OUT_OF_WINDOW = "out_of_window"
+REASON_REPLAY = WindowStatus.REPLAY.value
+REASON_OUT_OF_WINDOW = WindowStatus.OUT_OF_WINDOW.value
 REASON_MALFORMED = "malformed"
 
 
@@ -179,9 +179,7 @@ class EncTunnel(DownlinkFlows):
             return DecodeResult(reason=REASON_UNKNOWN_FLOW)
         if entry.header.src != p1[6:12]:
             return DecodeResult(reason=REASON_HEADER_MISMATCH)
-        res = entry.window.accept(pn)
-        if res.status is WindowStatus.REPLAY:
-            return DecodeResult(reason=REASON_REPLAY)
-        if res.status is WindowStatus.OUT_OF_WINDOW:
-            return DecodeResult(reason=REASON_OUT_OF_WINDOW)
+        status = entry.window.accept(pn)
+        if status is not WindowStatus.ACCEPT:
+            return DecodeResult(reason=status.value)
         return DecodeResult(frame=p1 + p2 + body[33:])

@@ -2,9 +2,11 @@
 
 A flow is unidirectional traffic from one MACsec device to another,
 keyed by (SCI, AN, destination MAC).  The uplink table is keyed by
-(SCI, AN) and holds one unicast and one broadcast base identifier per
-security association; the downlink flow table is keyed by base
-identifier; the identifier table is keyed by rotating identifier.
+(SCI, AN) and holds one unicast and one broadcast ``UplinkCast`` per
+security association: the flow's base identifier, whether it was
+announced, and the frames that wait for that announcement.  The
+downlink flow table is keyed by base identifier; the identifier table
+is keyed by rotating identifier.
 
 Flow learning looks entries up by three more keys, each kept as an
 index by the table that owns the data, so that control-plane work does
@@ -60,13 +62,6 @@ class WindowStatus(enum.Enum):
     OUT_OF_WINDOW = "out_of_window"
 
 
-@dataclass
-class WindowResult:
-    status: WindowStatus
-    entered: list[int] = field(default_factory=list)
-    evicted: list[int] = field(default_factory=list)
-
-
 class ReplayWindow:
     """Sliding acceptance window over packet numbers.
 
@@ -76,10 +71,13 @@ class ReplayWindow:
     PNs so replays inside the range can be told apart from stale or
     far-future traffic.  Accepting a PN slides the floor to
     ``pn - size + 1`` and tops the range up, so an in-order loss burst
-    shorter than the window size never causes a rejection.
+    shorter than the window size never causes a rejection.  ``accept``
+    recomputes ``top`` from the floor and the seen bitmap; a caller that
+    compares ``floor`` and ``top`` before and after it learns which PNs
+    left and entered the covered range.
     """
 
-    __slots__ = ("size", "floor", "top", "_seen", "_pending")
+    __slots__ = ("size", "floor", "top", "_seen")
 
     def __init__(self, start_pn: int, size: int):
         if size < 1:
@@ -90,39 +88,25 @@ class ReplayWindow:
         self.floor = start_pn
         self.top = min(start_pn + size - 1, PN_MAX)
         self._seen = 0
-        self._pending = self.top - self.floor + 1
 
-    def accept(self, pn: int) -> WindowResult:
-        if pn < self.floor or pn > self.top:
-            return WindowResult(WindowStatus.OUT_OF_WINDOW)
-        bit = 1 << (pn - self.floor)
-        if self._seen & bit:
-            return WindowResult(WindowStatus.REPLAY)
-        self._seen |= bit
-        self._pending -= 1
-
-        evicted: list[int] = []
-        new_floor = max(self.floor, pn - self.size + 1)
-        if new_floor > self.floor:
-            shift = new_floor - self.floor
-            for p in range(self.floor, new_floor):
-                if not (self._seen >> (p - self.floor)) & 1:
-                    self._pending -= 1
-                evicted.append(p)
-            self._seen >>= shift
-            self.floor = new_floor
-
-        entered: list[int] = []
-        short = self.size - self._pending
-        nxt = self.top + 1
-        while short > 0 and nxt <= PN_MAX:
-            entered.append(nxt)
-            nxt += 1
-            short -= 1
-        if entered:
-            self.top = entered[-1]
-            self._pending += len(entered)
-        return WindowResult(WindowStatus.ACCEPT, entered, evicted)
+    def accept(self, pn: int) -> WindowStatus:
+        floor = self.floor
+        if pn < floor or pn > self.top:
+            return WindowStatus.OUT_OF_WINDOW
+        bit = 1 << (pn - floor)
+        seen = self._seen
+        if seen & bit:
+            return WindowStatus.REPLAY
+        seen |= bit
+        new_floor = pn - self.size + 1
+        if new_floor > floor:
+            seen >>= new_floor - floor
+            self.floor = floor = new_floor
+        self._seen = seen
+        # ``size`` PNs stay pending: the covered range is that many plus
+        # the seen ones, up to the PN ceiling
+        self.top = min(floor + self.size - 1 + seen.bit_count(), PN_MAX)
+        return WindowStatus.ACCEPT
 
     def is_seen(self, pn: int) -> bool:
         if pn < self.floor or pn > self.top:
@@ -142,23 +126,34 @@ class ReplayWindow:
         return [p for p in range(self.floor, self.top + 1) if not self.is_seen(p)]
 
 
+@dataclass(slots=True)
+class UplinkCast:
+    """One cast of an uplink SA: its unicast or its broadcast flow.
+
+    ``pending`` holds the frames that wait for the flow's announcement;
+    it is emptied when the announcement is out and ends with the record.
+    """
+
+    bidf: bytes
+    announced: bool = False
+    pending: list[tuple[MacsecFrame, bytes]] = field(default_factory=list)
+
+
 @dataclass
 class UplinkFlowEntry:
     """Per-SA uplink state, keyed by (SCI, AN) in the uplink table."""
 
     sci: Sci
     an: int
-    unicast_bidf: bytes
-    broadcast_bidf: bytes
+    unicast: UplinkCast
+    broadcast: UplinkCast
     timeout: int
     remote_gateways: set[str] = field(default_factory=set)
     # operational extras, not part of the table contract
     unicast_dst: Optional[bytes] = None
-    announced_unicast: bool = False
-    announced_broadcast: bool = False
 
-    def bidf_for_dst(self, dst: bytes) -> bytes:
-        return self.broadcast_bidf if is_broadcast(dst) else self.unicast_bidf
+    def cast(self, dst: bytes) -> UplinkCast:
+        return self.broadcast if is_broadcast(dst) else self.unicast
 
 
 @dataclass
@@ -217,17 +212,6 @@ class IdentifierEntry:
     ridf: int
     pn: int
     flow: DownlinkFlowEntry
-
-
-def window_init(entry: DownlinkFlowEntry, start_pn: int, window_size: int) -> None:
-    """Give the entry a fresh replay window starting at ``start_pn``."""
-    entry.window = ReplayWindow(start_pn, window_size)
-
-
-def window_accept(entry: DownlinkFlowEntry, pn: int) -> WindowResult:
-    if entry.window is None:
-        raise ValueError("window not initialized")
-    return entry.window.accept(pn)
 
 
 def bind(a: DownlinkFlowEntry, b: DownlinkFlowEntry) -> ReplayWindow:
@@ -330,8 +314,12 @@ class DownlinkFlows:
                     self._refill(entry.bound)
             return entry
 
-        entry = DownlinkFlowEntry(bidf=bidf, header=header, origin=origin)
-        window_init(entry, pn, self.window_size)
+        entry = DownlinkFlowEntry(
+            bidf=bidf,
+            header=header,
+            window=ReplayWindow(pn, self.window_size),
+            origin=origin,
+        )
         self.flows[bidf] = entry
         self._by_addr.setdefault((header.dst, header.src), []).append(entry)
         self._added(entry)
@@ -374,10 +362,11 @@ class UplinkTable:
     Entries are also found by unicast base identifier (``by_unicast_bidf``)
     and counted by (SCI system id, unicast destination) (``has_unicast``).
     Once an entry is in the table, the table is the only writer of its
-    ``unicast_bidf`` and ``unicast_dst``: change them with ``set_unicast``
-    so that both indexes follow.  Two entries that share a unicast base
-    identifier (random 128-bit values never do) are found by the later
-    one until it leaves.
+    ``unicast`` record and ``unicast_dst``: change them with
+    ``set_unicast`` so that both indexes follow.  Two entries that share
+    a unicast base identifier (random 128-bit values never do) are found
+    by the later one until it leaves.  An entry's two ``UplinkCast``
+    records, queued frames included, leave the table with it.
     """
 
     def __init__(self):
@@ -402,11 +391,11 @@ class UplinkTable:
         self._entries[(entry.sci, entry.an)] = entry
         self._index(entry)
 
-    def set_unicast(self, entry: UplinkFlowEntry, dst: bytes, bidf: bytes) -> None:
-        """Point the entry's unicast flow at ``dst`` under ``bidf``."""
+    def set_unicast(self, entry: UplinkFlowEntry, dst: bytes, cast: UplinkCast) -> None:
+        """Point the entry's unicast flow at ``dst``, carried by ``cast``."""
         self._unindex(entry)
         entry.unicast_dst = dst
-        entry.unicast_bidf = bidf
+        entry.unicast = cast
         self._index(entry)
 
     def expire(self, now: int) -> list[UplinkFlowEntry]:
@@ -418,14 +407,15 @@ class UplinkTable:
         return dead
 
     def _index(self, entry: UplinkFlowEntry) -> None:
-        self._by_bidf[entry.unicast_bidf] = entry
+        self._by_bidf[entry.unicast.bidf] = entry
         if entry.unicast_dst is not None:
             key = (entry.sci.system_id, entry.unicast_dst)
             self._dst_count[key] = self._dst_count.get(key, 0) + 1
 
     def _unindex(self, entry: UplinkFlowEntry) -> None:
-        if self._by_bidf.get(entry.unicast_bidf) is entry:
-            del self._by_bidf[entry.unicast_bidf]
+        bidf = entry.unicast.bidf
+        if self._by_bidf.get(bidf) is entry:
+            del self._by_bidf[bidf]
         if entry.unicast_dst is not None:
             key = (entry.sci.system_id, entry.unicast_dst)
             n = self._dst_count[key] - 1

@@ -16,7 +16,6 @@ import hashlib
 import logging
 import random
 import secrets as _secrets
-import struct
 from collections import Counter, deque
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
@@ -29,11 +28,12 @@ from .flow import (
     DecodeResult,
     DownlinkFlows,
     HeaderData,
+    UplinkCast,
     UplinkFlowEntry,
     UplinkTable,
     new_bidf,
 )
-from .frame import BROADCAST_MAC, MacsecFrame, is_broadcast
+from .frame import MacsecFrame, is_broadcast
 from .fullenc import FullEncTunnel
 from .idf import IdfDownlink
 
@@ -72,6 +72,9 @@ class GatewayConfig:
             raise ValueError("a gateway needs at least one peer")
         if self.own_id in self.peers:
             raise ValueError("own id listed as peer")
+        if self.queue_limit < 1:
+            # a flow's first frame waits for its announcement
+            raise ValueError("queue_limit must be >= 1")
 
 
 @dataclass
@@ -309,8 +312,6 @@ class GatewayEngine:
         self.stats = GatewayStats()
 
         self.uplink = UplinkTable()
-        # frames of unannounced flows: (sci, an, broadcast) -> raw frames
-        self._pending: dict[tuple, deque] = {}
         self._mgmt_retry: deque = deque()
         self._mka_buffer: dict[str, deque] = {p: deque() for p in config.peers}
         self._last_hello = 0
@@ -368,8 +369,8 @@ class GatewayEngine:
             entry = UplinkFlowEntry(
                 sci=sci,
                 an=an,
-                unicast_bidf=new_bidf(self.rng),
-                broadcast_bidf=new_bidf(self.rng),
+                unicast=UplinkCast(new_bidf(self.rng)),
+                broadcast=UplinkCast(new_bidf(self.rng)),
                 timeout=now + self.config.flow_timeout_us,
             )
             self.uplink.put(entry)
@@ -379,70 +380,45 @@ class GatewayEngine:
 
         broadcast = is_broadcast(frame.dst)
         if not broadcast and entry.unicast_dst != frame.dst:
-            bidf = entry.unicast_bidf
+            cast = entry.unicast
             if entry.unicast_dst is not None:
                 # the per-SA entry tracks one unicast destination; a
                 # second one rotates the base identifier to a new flow,
                 # whose far gateway is not learned yet
                 self.stats.warnings["unicast_dst_change"] += 1
                 for peer in self.config.peers:
-                    self._mgmt_out(peer, mgmt.MgmtMessage.expire(bidf))
-                stale = self._pending.pop((sci, an, False), None)
-                if stale is not None:
-                    self.stats.drops["unregistered_queue_overflow"] += len(stale)
-                bidf = new_bidf(self.rng)
+                    self._mgmt_out(peer, mgmt.MgmtMessage.expire(cast.bidf))
+                self._shed_pending(cast)
+                cast = UplinkCast(new_bidf(self.rng))
                 entry.remote_gateways = set()
-                entry.announced_unicast = False
-            self.uplink.set_unicast(entry, frame.dst, bidf)
+            self.uplink.set_unicast(entry, frame.dst, cast)
 
-        announced = entry.announced_broadcast if broadcast else entry.announced_unicast
-        if not announced:
+        cast = entry.broadcast if broadcast else entry.unicast
+        if not cast.announced:
             # the frame joins the discovery queue; the announcement must
             # carry the PN of the oldest queued frame so the remote
             # window covers the whole queue once it drains
-            self._enqueue_pending(entry, broadcast, data)
-            header = HeaderData(
-                dst=BROADCAST_MAC if broadcast else frame.dst,
-                src=frame.src,
-                sci=sci,
-                an=an,
-            )
-            bidf = entry.broadcast_bidf if broadcast else entry.unicast_bidf
-            first_pn = self._pending_first_pn(entry, broadcast, frame.sectag.pn)
-            msg = mgmt.MgmtMessage.announce(bidf, header, first_pn)
-            ok = all(self._mgmt_out(peer, msg) for peer in list(self.config.peers))
-            if broadcast:
-                entry.announced_broadcast = ok
-            else:
-                entry.announced_unicast = ok
-            if not ok:
+            pending = cast.pending
+            pending.append((frame, data))
+            if len(pending) > self.config.queue_limit:
+                del pending[0]
+                self._drop("unregistered_queue_overflow")
+            header = HeaderData(dst=frame.dst, src=frame.src, sci=sci, an=an)
+            msg = mgmt.MgmtMessage.announce(cast.bidf, header, pending[0][0].sectag.pn)
+            cast.announced = all(self._mgmt_out(peer, msg) for peer in list(self.config.peers))
+            if not cast.announced:
                 return
-            self._flush_pending(entry, broadcast, now)
+            cast.pending = []
+            for queued, raw in pending:
+                self._tunnel_frame(queued, raw, entry, broadcast, now)
             self._learn_from_uplink(frame)
             return
         self._tunnel_frame(frame, data, entry, broadcast, now)
 
-    def _pending_first_pn(self, entry: UplinkFlowEntry, broadcast: bool, fallback: int) -> int:
-        pend = self._pending.get((entry.sci, entry.an, broadcast))
-        if pend:
-            return struct.unpack_from(">I", pend[0], 16)[0]
-        return fallback
-
-    def _enqueue_pending(self, entry: UplinkFlowEntry, broadcast: bool, data: bytes):
-        key = (entry.sci, entry.an, broadcast)
-        pend = self._pending.setdefault(key, deque())
-        pend.append(data)
-        while len(pend) > self.config.queue_limit:
-            pend.popleft()
-            self._drop("unregistered_queue_overflow")
-
-    def _flush_pending(self, entry: UplinkFlowEntry, broadcast: bool, now: int):
-        for raw in self._pending.pop((entry.sci, entry.an, broadcast), ()):
-            try:
-                frame = fr.parse_macsec(raw)
-            except fr.FrameError:
-                continue
-            self._tunnel_frame(frame, raw, entry, broadcast, now)
+    def _shed_pending(self, cast: UplinkCast) -> None:
+        """Count the queued frames of a flow that ends unannounced."""
+        if cast.pending:
+            self.stats.drops["unregistered_queue_overflow"] += len(cast.pending)
 
     def _tunnel_frame(
         self,
@@ -575,11 +551,11 @@ class GatewayEngine:
 
     def on_timer(self, now: int) -> None:
         for entry in self.uplink.expire(now):
-            for peer in self.config.peers:
-                if entry.announced_unicast:
-                    self._mgmt_out(peer, mgmt.MgmtMessage.expire(entry.unicast_bidf))
-                if entry.announced_broadcast:
-                    self._mgmt_out(peer, mgmt.MgmtMessage.expire(entry.broadcast_bidf))
+            for cast in (entry.unicast, entry.broadcast):
+                if cast.announced:
+                    for peer in self.config.peers:
+                        self._mgmt_out(peer, mgmt.MgmtMessage.expire(cast.bidf))
+                self._shed_pending(cast)
         if now - self._last_hello >= self.config.hello_interval_us:
             self._last_hello = now
             for peer in self.config.peers:

@@ -33,8 +33,8 @@ WIRE_SHRINK = 18  # header bytes removed minus the 8-byte identifier
 MIN_BODY = 8 + 2 + 2 + ICV_LEN
 
 REASON_UNKNOWN_IDENTIFIER = "unknown_identifier"
-REASON_REPLAY = "replay"
-REASON_OUT_OF_WINDOW = "out_of_window"
+REASON_REPLAY = WindowStatus.REPLAY.value
+REASON_OUT_OF_WINDOW = WindowStatus.OUT_OF_WINDOW.value
 REASON_MALFORMED = "malformed"
 
 
@@ -63,8 +63,7 @@ def uplink_encode(frame: MacsecFrame, entry: Optional[UplinkFlowEntry]) -> bytes
     if entry is None:
         raise UnregisteredFlow("flow must be announced before encoding")
     tag = frame.sectag
-    bidf = entry.bidf_for_dst(frame.dst)
-    ridf = derive_ridf(bidf, tag.pn)
+    ridf = derive_ridf(entry.cast(frame.dst).bidf, tag.pn)
     return (
         struct.pack(">QBB", ridf, tag.tci.flags_byte(), tag.sl)
         + frame.secure_data
@@ -155,16 +154,16 @@ class IdfDownlink(DownlinkFlows):
             # AN bits travel in the flow state, never on the wire
             return DecodeResult(reason=REASON_MALFORMED)
         pn = flow.window.lowest_unseen() if self.naive_pn_reconstruction else ident.pn
-        res = flow.window.accept(ident.pn)
-        if res.status is WindowStatus.REPLAY:
-            return DecodeResult(reason=REASON_REPLAY)
-        if res.status is WindowStatus.OUT_OF_WINDOW:
-            return DecodeResult(reason=REASON_OUT_OF_WINDOW)
+        window = flow.window
+        old_floor, old_top = window.floor, window.top
+        status = window.accept(ident.pn)
+        if status is not WindowStatus.ACCEPT:
+            return DecodeResult(reason=status.value)
         flows = (flow,) if flow.bound is None else (flow, flow.bound)
         for fl in flows:
-            for p in res.evicted:
+            for p in range(old_floor, window.floor):
                 self._drop_id(fl, p)
-            for p in res.entered:
+            for p in range(old_top + 1, window.top + 1):
                 self._insert_id(fl, p)
 
         hdr = flow.header

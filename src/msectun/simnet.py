@@ -41,6 +41,11 @@ def _h(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def _stable_seed(name: str) -> int:
+    # str hashes are salted per process; a digest is the same everywhere
+    return int.from_bytes(hashlib.sha256(name.encode()).digest()[:4], "big")
+
+
 class EventLoop:
     """Min-heap of (time, seq, fn); seq breaks ties deterministically."""
 
@@ -435,7 +440,7 @@ class Scenario:
             send_tunnel,
             send_mgmt,
             emit_lan,
-            rng=random.Random(self.cfg.net.seed ^ hash(own) & 0xFFFFFFFF),
+            rng=random.Random(self.cfg.net.seed ^ _stable_seed(own)),
         )
         lan.attach(own, lambda data: engine.on_lan_frame(data, loop.now))
         self.wan.attach(own, engine.on_tunnel_datagram)

@@ -1,5 +1,8 @@
 """Benchmark driver: result shape, size accounting, degenerate runs."""
 
+import time
+
+from msectun import bench
 from msectun.bench import BenchResult, results_csv, run_bench, run_bench_cell
 from msectun.gateway import Scheme
 
@@ -16,6 +19,22 @@ def test_cell_measures_and_accounts():
     assert r.hash_per_frame == 2.0  # one uplink, one downlink refill
     assert r.p50_us > 0 and r.p99_us >= r.p50_us
     assert abs(r.mbit_per_sec - r.frames_per_sec * r.wire_size * 8 / 1e6) < 1e-6
+
+
+def test_frame_generation_is_not_timed(monkeypatch):
+    """``seconds`` counts engine work, not the sealing of test frames."""
+    real = bench._protect_series
+
+    def slow_series(*args):
+        time.sleep(0.005)
+        return real(*args)
+
+    monkeypatch.setattr(bench, "_protect_series", slow_series)
+    t0 = time.perf_counter()
+    r = run_bench_cell(Scheme.NAIVE, 64, seconds=0.2)
+    wall = time.perf_counter() - t0
+    assert 0 < r.seconds < wall / 2
+    assert abs(r.frames_per_sec - r.frames / r.seconds) < 1e-6
 
 
 def test_wire_sizes_follow_scheme_layouts():

@@ -13,6 +13,7 @@ from msectun.flow import (
     FlowKey,
     HeaderData,
     ReplayWindow,
+    UplinkCast,
     UplinkFlowEntry,
     UplinkTable,
     WindowStatus,
@@ -20,8 +21,6 @@ from msectun.flow import (
     classify,
     new_bidf,
     unbind,
-    window_accept,
-    window_init,
 )
 from msectun.frame import BROADCAST_MAC, MacsecFrame, SecTag, Sci, Tci
 
@@ -88,50 +87,43 @@ def test_classify_an_distinct():
 
 
 def test_window_init_enumerates():
-    entry = DownlinkFlowEntry(bidf=b"\x00" * 16, header=_header())
-    window_init(entry, 1, 4)
-    assert entry.window.pending_pns() == [1, 2, 3, 4]
+    assert ReplayWindow(1, 4).pending_pns() == [1, 2, 3, 4]
 
 
 def test_window_init_w1_strict_in_order():
-    entry = DownlinkFlowEntry(bidf=b"\x00" * 16, header=_header())
-    window_init(entry, 5, 1)
-    assert entry.window.pending_pns() == [5]
-    assert window_accept(entry, 6).status is WindowStatus.OUT_OF_WINDOW
-    assert window_accept(entry, 5).status is WindowStatus.ACCEPT
+    w = ReplayWindow(5, 1)
+    assert w.pending_pns() == [5]
+    assert w.accept(6) is WindowStatus.OUT_OF_WINDOW
+    assert w.accept(5) is WindowStatus.ACCEPT
 
 
 def test_window_init_truncates_at_pn_max():
-    entry = DownlinkFlowEntry(bidf=b"\x00" * 16, header=_header())
-    window_init(entry, PN_MAX - 2, 8)
-    pns = entry.window.pending_pns()
+    pns = ReplayWindow(PN_MAX - 2, 8).pending_pns()
     assert pns == [PN_MAX - 2, PN_MAX - 1, PN_MAX]
     assert all(p >= PN_MAX - 2 for p in pns)  # no wraparound below start
 
 
 def test_worked_example_fresh_window():
     w = ReplayWindow(1, 4)
-    res = w.accept(2)
-    assert res.status is WindowStatus.ACCEPT
+    assert w.accept(2) is WindowStatus.ACCEPT
     assert w.pending_pns() == [1, 3, 4, 5]
-    assert res.entered == [5]
-    assert res.evicted == []
+    assert (w.floor, w.top) == (1, 5)  # PN 5 entered, none left
 
 
 def test_replay_detected():
     w = ReplayWindow(1, 4)
-    assert w.accept(2).status is WindowStatus.ACCEPT
-    assert w.accept(2).status is WindowStatus.REPLAY
+    assert w.accept(2) is WindowStatus.ACCEPT
+    assert w.accept(2) is WindowStatus.REPLAY
 
 
 def test_far_future_out_of_window():
     w = ReplayWindow(1, 4)
-    assert w.accept(1000).status is WindowStatus.OUT_OF_WINDOW
+    assert w.accept(1000) is WindowStatus.OUT_OF_WINDOW
 
 
 def test_below_floor_out_of_window():
     w = ReplayWindow(100, 4)
-    assert w.accept(99).status is WindowStatus.OUT_OF_WINDOW
+    assert w.accept(99) is WindowStatus.OUT_OF_WINDOW
 
 
 def test_bad_parameters():
@@ -161,7 +153,7 @@ def test_exhaustive_equivalence_small():
                 w = ReplayWindow(1, size)
                 o = NaiveWindow(1, size)
                 for pn in seq:
-                    got = w.accept(pn).status.value
+                    got = w.accept(pn).value
                     want = o.accept(pn)
                     assert got == want, (size, seq, pn)
                 assert _state_matches(w, o), (size, seq)
@@ -178,24 +170,8 @@ def test_fuzz_equivalence():
             pn = start + rng.randint(-4, size + 8)
             if not 1 <= pn <= PN_MAX:
                 continue
-            assert w.accept(pn).status.value == o.accept(pn)
+            assert w.accept(pn).value == o.accept(pn)
         assert _state_matches(w, o)
-
-
-def test_accept_result_bookkeeping():
-    """entered/evicted must exactly track membership changes."""
-    rng = random.Random(3)
-    for _ in range(2000):
-        size = rng.randint(1, 8)
-        w = ReplayWindow(1, size)
-        covered = set(range(1, w.top + 1))
-        for _ in range(10):
-            pn = rng.randint(1, size + 10)
-            res = w.accept(pn)
-            if res.status is WindowStatus.ACCEPT:
-                covered |= set(res.entered)
-                covered -= set(res.evicted)
-                assert covered == set(range(w.floor, w.top + 1))
 
 
 # -- binding -------------------------------------------------------------------
@@ -206,9 +182,11 @@ def _header(dst=DST, an=0):
 
 
 def _entry(dst=DST, an=0, start_pn=1, size=8):
-    e = DownlinkFlowEntry(bidf=new_bidf(random.Random(hash(dst) & 0xFFFF)), header=_header(dst, an))
-    window_init(e, start_pn, size)
-    return e
+    return DownlinkFlowEntry(
+        bidf=new_bidf(random.Random(dst)),
+        header=_header(dst, an),
+        window=ReplayWindow(start_pn, size),
+    )
 
 
 def test_bind_links_and_shares_window():
@@ -221,21 +199,24 @@ def test_bind_links_and_shares_window():
 def test_bound_pair_shares_pn_state():
     u, b = _entry(), _entry(dst=BROADCAST_MAC)
     bind(u, b)
-    assert window_accept(u, 5).status is WindowStatus.ACCEPT
-    assert window_accept(b, 5).status is WindowStatus.REPLAY
+    assert u.window.accept(5) is WindowStatus.ACCEPT
+    assert b.window.accept(5) is WindowStatus.REPLAY
 
 
 def test_unbound_pair_independent():
     u, b = _entry(), _entry(dst=BROADCAST_MAC)
-    assert window_accept(u, 5).status is WindowStatus.ACCEPT
-    assert window_accept(b, 5).status is WindowStatus.ACCEPT
+    assert u.window.accept(5) is WindowStatus.ACCEPT
+    assert b.window.accept(5) is WindowStatus.ACCEPT
 
 
 def test_bind_mismatch_rejected():
     other_sci = Sci(b"\x02\x00\x00\x00\x00\x09", 1)
     u = _entry()
-    b = DownlinkFlowEntry(bidf=b"\x01" * 16, header=HeaderData(BROADCAST_MAC, other_sci.system_id, other_sci, 0))
-    window_init(b, 1, 8)
+    b = DownlinkFlowEntry(
+        bidf=b"\x01" * 16,
+        header=HeaderData(BROADCAST_MAC, other_sci.system_id, other_sci, 0),
+        window=ReplayWindow(1, 8),
+    )
     with pytest.raises(BindMismatch):
         bind(u, b)
     with pytest.raises(BindMismatch):
@@ -263,18 +244,18 @@ def test_binding_symmetry_commuting_sequences():
         u2, b2 = _entry(), _entry(dst=BROADCAST_MAC)
         bind(u2, b2)
         for pn in seq:
-            window_accept(u1, pn)
-            window_accept(b2, pn)
+            u1.window.accept(pn)
+            b2.window.accept(pn)
         assert u1.window.pending_pns() == b2.window.pending_pns()
 
 
 def test_unbind_keeps_partner_state():
     u, b = _entry(), _entry(dst=BROADCAST_MAC)
     bind(u, b)
-    window_accept(u, 2)
+    u.window.accept(2)
     unbind(u)
     assert u.bound is None and b.bound is None
-    assert window_accept(b, 2).status is WindowStatus.REPLAY  # state retained
+    assert b.window.accept(2) is WindowStatus.REPLAY  # state retained
 
 
 # -- uplink table / expiry -------------------------------------------------------
@@ -284,8 +265,8 @@ def _uplink(an=0, timeout=100):
     return UplinkFlowEntry(
         sci=SCI,
         an=an,
-        unicast_bidf=b"\x0a" * 16,
-        broadcast_bidf=b"\x0b" * 16,
+        unicast=UplinkCast(b"\x0a" * 16),
+        broadcast=UplinkCast(b"\x0b" * 16),
         timeout=timeout,
     )
 
@@ -314,9 +295,9 @@ def test_expire_empty_table():
 
 def test_bidf_for_dst_class():
     e = _uplink()
-    assert e.bidf_for_dst(DST) == e.unicast_bidf
-    assert e.bidf_for_dst(BROADCAST_MAC) == e.broadcast_bidf
-    assert e.unicast_bidf != e.broadcast_bidf
+    assert e.cast(DST) is e.unicast
+    assert e.cast(BROADCAST_MAC) is e.broadcast
+    assert e.unicast.bidf != e.broadcast.bidf
 
 
 def test_header_data_pack_roundtrip():

@@ -107,12 +107,12 @@ def test_unicast_dst_change_rotates_flow():
     pair = EnginePair(Scheme.IDF)
     _, raw = protect(MAC_B, MAC_A, SCI_A, 1)
     pair.lan_a(raw)
-    old_bidf = pair.a.uplink.get(SCI_A, 0).unicast_bidf
+    old_bidf = pair.a.uplink.get(SCI_A, 0).unicast.bidf
     other_dst = b"\x02\xcc\x00\x00\x00\x01"
     _, raw2 = protect(other_dst, MAC_A, SCI_A, 2)
     pair.lan_a(raw2)
     entry = pair.a.uplink.get(SCI_A, 0)
-    assert entry.unicast_bidf != old_bidf
+    assert entry.unicast.bidf != old_bidf
     assert entry.unicast_dst == other_dst
     assert pair.a.snapshot_stats().warnings["unicast_dst_change"] == 1
     assert pair.emitted["B"][-1] == raw2  # still delivered, fresh flow
@@ -122,7 +122,7 @@ def test_flow_expiry_propagates():
     pair = EnginePair(Scheme.IDF, flow_timeout_us=1000)
     _, raw = protect(MAC_B, MAC_A, SCI_A, 1)
     pair.lan_a(raw, now=0)
-    bidf = pair.a.uplink.get(SCI_A, 0).unicast_bidf
+    bidf = pair.a.uplink.get(SCI_A, 0).unicast.bidf
     assert bidf in pair.b.idf_downlink.flows
     pair.a.on_timer(now=2000)
     assert pair.a.uplink.get(SCI_A, 0) is None
@@ -148,19 +148,19 @@ def test_flow_state_ends_with_its_flow(scheme):
         for table in (gw.codec.downlink, gw.uplink):
             sizes = {k: len(v) for k, v in vars(table).items() if isinstance(v, dict)}
             assert not any(sizes.values()), sizes
-        assert len(gw.uplink) == 0 and not gw._pending
+        assert len(gw.uplink) == 0
 
 
 def _check_indexes(gw):
     """Every lookup index agrees with a full scan of its table."""
     up = gw.uplink.entries()
     assert {b: id(e) for b, e in gw.uplink._by_bidf.items()} == {
-        e.unicast_bidf: id(e) for e in up
+        e.unicast.bidf: id(e) for e in up
     }
     dsts = Counter((e.sci.system_id, e.unicast_dst) for e in up if e.unicast_dst is not None)
     assert gw.uplink._dst_count == dict(dsts)
     for e in up:
-        assert gw.uplink.by_unicast_bidf(e.unicast_bidf) is e
+        assert gw.uplink.by_unicast_bidf(e.unicast.bidf) is e
         if e.unicast_dst is not None:
             assert gw.uplink.has_unicast(e.sci.system_id, e.unicast_dst)
 
@@ -246,14 +246,14 @@ def test_duplicate_announce_is_idempotent():
     entry = pair.a.uplink.get(SCI_A, 0)
     msg = encode_message(
         MgmtMessage.announce(
-            entry.unicast_bidf,
-            pair.b.idf_downlink.flows[entry.unicast_bidf].header,
+            entry.unicast.bidf,
+            pair.b.idf_downlink.flows[entry.unicast.bidf].header,
             1,
         )
     )
-    before = dict(pair.b.idf_downlink.flows[entry.unicast_bidf].ids)
+    before = dict(pair.b.idf_downlink.flows[entry.unicast.bidf].ids)
     pair.b.on_mgmt_bytes(msg, "A", now=0)
-    assert pair.b.idf_downlink.flows[entry.unicast_bidf].ids == before
+    assert pair.b.idf_downlink.flows[entry.unicast.bidf].ids == before
 
 
 def test_learned_conflict_warns_last_writer_wins():
@@ -261,10 +261,10 @@ def test_learned_conflict_warns_last_writer_wins():
     _, raw = protect(MAC_B, MAC_A, SCI_A, 1)
     pair.lan_a(raw)
     entry = pair.a.uplink.get(SCI_A, 0)
-    pair.a.on_mgmt_message(MgmtMessage.learned(entry.unicast_bidf), "B", now=0)
+    pair.a.on_mgmt_message(MgmtMessage.learned(entry.unicast.bidf), "B", now=0)
     assert entry.remote_gateways == {"B"}
     pair.a.config.peers.append("C")
-    pair.a.on_mgmt_message(MgmtMessage.learned(entry.unicast_bidf), "C", now=0)
+    pair.a.on_mgmt_message(MgmtMessage.learned(entry.unicast.bidf), "C", now=0)
     assert entry.remote_gateways == {"C"}
     assert pair.a.snapshot_stats().warnings["learned_conflict"] == 1
 
@@ -280,6 +280,8 @@ def test_config_validation():
         GatewayConfig(own_id="A", peers=[])
     with pytest.raises(ValueError):
         GatewayConfig(own_id="A", peers=["A"])
+    with pytest.raises(ValueError):
+        GatewayConfig(own_id="A", peers=["B"], queue_limit=0)
     cfg = GatewayConfig(own_id="A", peers=["B"], scheme="enc")
     assert cfg.scheme is Scheme.ENC
 
@@ -287,9 +289,6 @@ def test_config_validation():
 def test_queue_until_announce_acked():
     """Frames for a flow queue while the mgmt channel is down."""
     down = {"flag": True}
-
-    class FlakyPair(EnginePair):
-        pass
 
     pair = EnginePair(Scheme.IDF)
     real_send = pair.a.send_mgmt
@@ -302,6 +301,29 @@ def test_queue_until_announce_acked():
     _, raw4 = protect(MAC_B, MAC_A, SCI_A, 4)
     pair.lan_a(raw4)
     assert len(pair.emitted["B"]) == 4  # queue flushed in order, then new
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_queued_frames_end_with_their_sa(scheme):
+    """An SA that expires before its announcement takes its queue along."""
+    pair = EnginePair(scheme, flow_timeout_us=1000)
+    real_send = pair.a.send_mgmt
+    up = {"flag": False}
+    pair.a.send_mgmt = lambda p, d: up["flag"] and real_send(p, d)
+    pair.lan_a(protect(MAC_B, MAC_A, SCI_A, 1)[1], now=0)
+    pair.lan_a(protect(BROADCAST_MAC, MAC_A, SCI_A, 2)[1])
+    pair.now = 2000
+    pair.a.on_timer(pair.now)
+    assert pair.a.uplink.get(SCI_A, 0) is None
+    assert pair.a.snapshot_stats().drops["unregistered_queue_overflow"] == 2
+
+    up["flag"] = True
+    fresh = [protect(MAC_B, MAC_A, SCI_A, pn)[1] for pn in range(1000, 1020)]
+    for raw in fresh:
+        pair.lan_a(raw)
+    assert pair.emitted["B"] == fresh  # nothing queued before expiry
+    entry = pair.a.uplink.get(SCI_A, 0)
+    assert entry.unicast.pending == [] and entry.broadcast.pending == []
 
 
 def test_queue_overflow_drops_oldest():

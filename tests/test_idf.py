@@ -5,7 +5,7 @@ import struct
 
 import pytest
 
-from msectun.flow import HeaderData, UplinkFlowEntry, new_bidf
+from msectun.flow import HeaderData, UplinkCast, UplinkFlowEntry, new_bidf
 from msectun.frame import (
     BROADCAST_MAC,
     PlainFrame,
@@ -33,8 +33,8 @@ def _uplink_entry(rng=None, an=0):
     return UplinkFlowEntry(
         sci=SCI,
         an=an,
-        unicast_bidf=new_bidf(rng),
-        broadcast_bidf=new_bidf(rng),
+        unicast=UplinkCast(new_bidf(rng)),
+        broadcast=UplinkCast(new_bidf(rng)),
         timeout=1 << 60,
         unicast_dst=DST,
     )
@@ -54,11 +54,11 @@ def _protected(pn, dst=DST, payload=b"\x00" * 40, an=0):
 def _downlink(entry, window=8, pn=1, broadcast=False):
     dn = IdfDownlink(window_size=window)
     dn.register(
-        entry.unicast_bidf, HeaderData(dst=DST, src=SCI.system_id, sci=SCI, an=entry.an), pn
+        entry.unicast.bidf, HeaderData(dst=DST, src=SCI.system_id, sci=SCI, an=entry.an), pn
     )
     if broadcast:
         dn.register(
-            entry.broadcast_bidf,
+            entry.broadcast.bidf,
             HeaderData(dst=BROADCAST_MAC, src=SCI.system_id, sci=SCI, an=entry.an),
             pn,
         )
@@ -110,7 +110,7 @@ def test_encode_layout_and_shrink():
     body = uplink_encode(f, entry)
     assert len(body) == len(raw) - 18
     ridf, tci_flags, sl = struct.unpack_from(">QBB", body)
-    assert ridf == derive_ridf(entry.unicast_bidf, 7)
+    assert ridf == derive_ridf(entry.unicast.bidf, 7)
     assert tci_flags & 0x03 == 0  # AN bits never on the wire
     assert sl == f.sectag.sl
     assert body[10:] == f.secure_data + f.icv
@@ -121,8 +121,8 @@ def test_encode_broadcast_uses_broadcast_bidf():
     f, _ = _protected(pn=3, dst=BROADCAST_MAC)
     body = uplink_encode(f, entry)
     ridf = struct.unpack_from(">Q", body)[0]
-    assert ridf == derive_ridf(entry.broadcast_bidf, 3)
-    assert ridf != derive_ridf(entry.unicast_bidf, 3)
+    assert ridf == derive_ridf(entry.broadcast.bidf, 3)
+    assert ridf != derive_ridf(entry.unicast.bidf, 3)
 
 
 def test_encode_requires_registration():
@@ -136,7 +136,7 @@ def test_wire_opacity_no_sensitive_substrings():
     sci = Sci(b"\xa1\xa2\xa3\xa4\xa5\xa6", 0xB1B2)
     dst = b"\xc1\xc2\xc3\xc4\xc5\xc6"
     entry = UplinkFlowEntry(
-        sci=sci, an=0, unicast_bidf=b"\x11" * 16, broadcast_bidf=b"\x22" * 16,
+        sci=sci, an=0, unicast=UplinkCast(b"\x11" * 16), broadcast=UplinkCast(b"\x22" * 16),
         timeout=1 << 60, unicast_dst=dst,
     )
     for pn in (0xD1D2D3D4, 0xD5D6D7D8):
@@ -203,7 +203,7 @@ def test_loss_tolerance_matches_oracle():
         size = rng.randint(2, 16)
         entry = _uplink_entry(rng=random.Random(trial + 10))
         dn = _downlink(entry, window=size)
-        flow = dn.flows[entry.unicast_bidf]
+        flow = dn.flows[entry.unicast.bidf]
         pn = 1
         delivered = []
         while pn < 200:
@@ -231,7 +231,7 @@ def test_loss_tolerance_matches_oracle():
 def test_bound_flows_share_pn_and_reconstruct():
     entry = _uplink_entry()
     dn = _downlink(entry, window=8, broadcast=True)
-    assert dn.flows[entry.unicast_bidf].bound is dn.flows[entry.broadcast_bidf]
+    assert dn.flows[entry.unicast.bidf].bound is dn.flows[entry.broadcast.bidf]
     for pn in range(1, 30):
         dst = BROADCAST_MAC if pn % 3 == 0 else DST
         f, raw = _protected(pn=pn, dst=dst)
@@ -245,8 +245,8 @@ def test_unbound_broadcast_window_stalls():
     entry = _uplink_entry()
     dn = IdfDownlink(window_size=4)
     dn.bind_flows = False
-    dn.register(entry.unicast_bidf, HeaderData(DST, SCI.system_id, SCI, 0), 1)
-    dn.register(entry.broadcast_bidf, HeaderData(BROADCAST_MAC, SCI.system_id, SCI, 0), 1)
+    dn.register(entry.unicast.bidf, HeaderData(DST, SCI.system_id, SCI, 0), 1)
+    dn.register(entry.broadcast.bidf, HeaderData(BROADCAST_MAC, SCI.system_id, SCI, 0), 1)
     # unicast consumes pns 1..20; broadcast window never advances
     for pn in range(1, 21):
         f, _ = _protected(pn=pn)
@@ -262,8 +262,8 @@ def test_naive_pn_reconstruction_hook_reproduces_wrong_pn():
     dn = IdfDownlink(window_size=8)
     dn.bind_flows = False
     dn.naive_pn_reconstruction = True
-    dn.register(entry.unicast_bidf, HeaderData(DST, SCI.system_id, SCI, 0), 1)
-    dn.register(entry.broadcast_bidf, HeaderData(BROADCAST_MAC, SCI.system_id, SCI, 0), 1)
+    dn.register(entry.unicast.bidf, HeaderData(DST, SCI.system_id, SCI, 0), 1)
+    dn.register(entry.broadcast.bidf, HeaderData(BROADCAST_MAC, SCI.system_id, SCI, 0), 1)
     # pn 1 goes out as unicast, pn 2 as broadcast: the broadcast flow's
     # counter still says 1, so the rebuilt frame carries the wrong PN
     f, _ = _protected(pn=1)
@@ -282,7 +282,7 @@ def test_reannounce_with_higher_pn_resets_window():
     dn = _downlink(entry, window=8)
     f, _ = _protected(pn=500)
     assert dn.decode(uplink_encode(f, entry)).reason == "unknown_identifier"
-    dn.register(entry.unicast_bidf, HeaderData(DST, SCI.system_id, SCI, 0), 500)
+    dn.register(entry.unicast.bidf, HeaderData(DST, SCI.system_id, SCI, 0), 500)
     res = dn.decode(uplink_encode(f, entry))
     assert res.ok
     dn.audit()
@@ -291,18 +291,18 @@ def test_reannounce_with_higher_pn_resets_window():
 def test_duplicate_announce_idempotent():
     entry = _uplink_entry()
     dn = _downlink(entry, window=8)
-    before = dict(dn.flows[entry.unicast_bidf].ids)
-    dn.register(entry.unicast_bidf, HeaderData(DST, SCI.system_id, SCI, 0), 1)
-    assert dn.flows[entry.unicast_bidf].ids == before
+    before = dict(dn.flows[entry.unicast.bidf].ids)
+    dn.register(entry.unicast.bidf, HeaderData(DST, SCI.system_id, SCI, 0), 1)
+    assert dn.flows[entry.unicast.bidf].ids == before
     dn.audit()
 
 
 def test_remove_flow_clears_identifiers():
     entry = _uplink_entry()
     dn = _downlink(entry, window=8, broadcast=True)
-    dn.remove(entry.unicast_bidf)
-    assert entry.unicast_bidf not in dn.flows
-    assert dn.flows[entry.broadcast_bidf].bound is None
+    dn.remove(entry.unicast.bidf)
+    assert entry.unicast.bidf not in dn.flows
+    assert dn.flows[entry.broadcast.bidf].bound is None
     dn.audit()
 
 
@@ -323,26 +323,26 @@ def test_refill_hashes_only_new_identifiers():
     window = 16
     entry = _uplink_entry()
     dn = IdfDownlink(window_size=window)
-    uni = dn.register(entry.unicast_bidf, HeaderData(DST, SCI.system_id, SCI, 0), 1)
+    uni = dn.register(entry.unicast.bidf, HeaderData(DST, SCI.system_id, SCI, 0), 1)
     assert dn.hash_calls == window
     dn.audit()
     # the broadcast partner binds to the unicast window [1, 16]: the
     # unicast flow keeps its identifiers, only the partner is hashed
-    bc = dn.register(entry.broadcast_bidf, HeaderData(BROADCAST_MAC, SCI.system_id, SCI, 0), 2)
+    bc = dn.register(entry.broadcast.bidf, HeaderData(BROADCAST_MAC, SCI.system_id, SCI, 0), 2)
     assert bc.window is uni.window and (uni.window.floor, uni.window.top) == (1, window)
     assert dn.hash_calls == 2 * window
     dn.audit()
     # a re-announce at PN 5 resets the shared window to [5, 20]: PNs
     # 17..20 are new to the range, for each of the two flows
     before = dn.hash_calls
-    dn.register(entry.unicast_bidf, HeaderData(DST, SCI.system_id, SCI, 0), 5)
+    dn.register(entry.unicast.bidf, HeaderData(DST, SCI.system_id, SCI, 0), 5)
     assert (uni.window.floor, uni.window.top) == (5, window + 4)
     assert dn.hash_calls - before == 2 * 4
     assert sorted(uni.ids) == sorted(bc.ids) == list(range(5, window + 5))
     dn.audit()
     # a reset past the whole range renews every identifier
     before = dn.hash_calls
-    dn.register(entry.unicast_bidf, HeaderData(DST, SCI.system_id, SCI, 0), 1000)
+    dn.register(entry.unicast.bidf, HeaderData(DST, SCI.system_id, SCI, 0), 1000)
     assert dn.hash_calls - before == 2 * window
     assert len(dn.ids) == 2 * window
     dn.audit()

@@ -1,6 +1,11 @@
 """Simulation harness: determinism, conservation, adversarial runs."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +55,52 @@ def test_determinism_bytewise():
     t2 = run_scenario(cfg).transcript
     assert t1.records == t2.records
     assert t1.csv() == t2.csv()
+
+
+def _transcripts_in_child(hash_seed: str, configs: list[dict]) -> str:
+    # the child imports this checkout, whatever put it on sys.path here
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED=hash_seed,
+        PYTHONPATH=os.pathsep.join(filter(None, (src, inherited))),
+    )
+    code = (
+        "import json, sys\n"
+        "from msectun.simnet import run_scenario, scenario_from_dict\n"
+        "for c in json.loads(sys.argv[1]):\n"
+        "    sys.stdout.write(run_scenario(scenario_from_dict(c)).transcript.csv())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(configs)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_determinism_across_processes():
+    """Two interpreters with different string-hash salts give one transcript."""
+    configs = [
+        {
+            "lans": {"A": ["a1"], "B": ["b1"]},
+            "scheme": scheme,
+            "net": {"seed": 31, "latency_us": 300, "loss_prob": 0.05, "jitter_us": 90},
+            "traffic": [
+                {"device": "a1", "dst": "b1", "count": 60, "interval_us": 50},
+                {"device": "b1", "dst": "a1", "count": 10, "start_us": 30, "interval_us": 200},
+            ],
+            "duration_us": 200_000,
+        }
+        for scheme in ("idf", "enc")
+    ]
+    first = _transcripts_in_child("1", configs)
+    assert first.count("time_us,site,event,detail") == 2
+    assert first == _transcripts_in_child("2", configs)
 
 
 def test_different_seed_differs():
