@@ -7,6 +7,7 @@ import json
 import sys
 import time
 
+from . import encap, mgmt
 from .bench import results_csv, run_bench
 from .gateway import GatewayConfig, Scheme
 from .netio import GatewayRunner, PeerEndpoints, parse_hostport
@@ -60,8 +61,8 @@ def gw_main(argv=None) -> int:
 
     runner = GatewayRunner(
         config,
-        tun_listen=parse_hostport(args.tun_listen or raw.get("tun_listen", "127.0.0.1:4790")),
-        mgmt_listen=parse_hostport(args.mgmt_listen or raw.get("mgmt_listen", "127.0.0.1:4791")),
+        tun_listen=parse_hostport(args.tun_listen or raw.get("tun_listen", f"127.0.0.1:{encap.DEFAULT_TUNNEL_PORT}")),
+        mgmt_listen=parse_hostport(args.mgmt_listen or raw.get("mgmt_listen", f"127.0.0.1:{mgmt.DEFAULT_MGMT_PORT}")),
         lan_listen=lan_listen,
         lan_peer=lan_peer,
         peer_endpoints=peers,

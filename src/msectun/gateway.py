@@ -16,7 +16,7 @@ import hashlib
 import logging
 import random
 import secrets as _secrets
-from collections import Counter, deque
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
@@ -75,6 +75,8 @@ class GatewayConfig:
         if self.queue_limit < 1:
             # a flow's first frame waits for its announcement
             raise ValueError("queue_limit must be >= 1")
+        if self.mka_buffer < 1:
+            raise ValueError("mka_buffer must be >= 1")
 
 
 @dataclass
@@ -292,8 +294,9 @@ class GatewayEngine:
 
     ``send_tunnel(peer_id, datagram)`` and ``send_mgmt(peer_id, data)``
     transmit toward a peer; ``send_mgmt`` returns False when the peer
-    is unreachable and the message should be retried.  ``emit_lan``
-    puts a reconstructed frame onto the local network.
+    refuses, and the message waits in that peer's outbox, which holds
+    one message per (kind, subject) and never holds back another peer.
+    ``emit_lan`` puts a reconstructed frame onto the local network.
     """
 
     def __init__(
@@ -312,8 +315,7 @@ class GatewayEngine:
         self.stats = GatewayStats()
 
         self.uplink = UplinkTable()
-        self._mgmt_retry: deque = deque()
-        self._mka_buffer: dict[str, deque] = {p: deque() for p in config.peers}
+        self._outbox: defaultdict[str, dict[tuple, mgmt.MgmtMessage]] = defaultdict(dict)
         self._last_hello = 0
         self.peer_liveness: dict[str, int] = {}
 
@@ -333,12 +335,27 @@ class GatewayEngine:
     def _drop(self, reason: str) -> None:
         self.stats.drops[reason] += 1
 
-    def _mgmt_out(self, peer: str, msg: mgmt.MgmtMessage) -> bool:
-        data = mgmt.encode_message(msg)
-        if self.send_mgmt(peer, data):
-            return True
-        self._mgmt_retry.append((peer, data))
-        return False
+    def _mgmt_out(self, peer: str, msg: mgmt.MgmtMessage, subject=None) -> None:
+        """Queue ``msg`` in ``peer``'s outbox, then send what it takes."""
+        box = self._outbox[peer]
+        if msg.kind is mgmt.MgmtKind.FLOW_EXPIRE:
+            if box.pop((mgmt.MgmtKind.FLOW_ANNOUNCE, msg.bidf), None) is not None:
+                return  # the peer never learned the flow
+        if subject is None:
+            subject = msg.epoch if msg.kind is mgmt.MgmtKind.REKEY else msg.bidf
+        key = (msg.kind, subject)
+        if msg.kind is mgmt.MgmtKind.MKA_FORWARD and box.pop(key, None) is not None:
+            self._drop("mka_buffer_overflow")
+        box[key] = msg
+        self._flush(peer)
+
+    def _flush(self, peer: str) -> None:
+        box = self._outbox[peer]
+        while box:
+            key = next(iter(box))
+            if not self.send_mgmt(peer, mgmt.encode_message(box[key])):
+                return
+            del box[key]
 
     # -- uplink ------------------------------------------------------------
 
@@ -399,21 +416,32 @@ class GatewayEngine:
             # carry the PN of the oldest queued frame so the remote
             # window covers the whole queue once it drains
             pending = cast.pending
+            first = not pending
             pending.append((frame, data))
             if len(pending) > self.config.queue_limit:
                 del pending[0]
                 self._drop("unregistered_queue_overflow")
             header = HeaderData(dst=frame.dst, src=frame.src, sci=sci, an=an)
             msg = mgmt.MgmtMessage.announce(cast.bidf, header, pending[0][0].sectag.pn)
-            cast.announced = all(self._mgmt_out(peer, msg) for peer in list(self.config.peers))
-            if not cast.announced:
+            key = (mgmt.MgmtKind.FLOW_ANNOUNCE, cast.bidf)
+            # a peer whose outbox no longer holds the announcement has it
+            for peer in [p for p in self.config.peers if first or key in self._outbox[p]]:
+                self._mgmt_out(peer, msg)
+            if all(key in self._outbox[peer] for peer in self.config.peers):
                 return
+            cast.announced = True
             cast.pending = []
             for queued, raw in pending:
                 self._tunnel_frame(queued, raw, entry, broadcast, now)
             self._learn_from_uplink(frame)
-            return
-        self._tunnel_frame(frame, data, entry, broadcast, now)
+        else:
+            self._tunnel_frame(frame, data, entry, broadcast, now)
+        if any(self._outbox.values()):
+            # a peer that takes the announcement late starts at this PN
+            key = (mgmt.MgmtKind.FLOW_ANNOUNCE, cast.bidf)
+            for box in self._outbox.values():
+                if key in box:
+                    box[key].pn = frame.sectag.pn
 
     def _shed_pending(self, cast: UplinkCast) -> None:
         """Count the queued frames of a flow that ends unannounced."""
@@ -458,16 +486,11 @@ class GatewayEngine:
         return bool(targets)
 
     def _forward_mka(self, data: bytes) -> None:
-        # bounded private buffer, not the general retry queue: stale
+        # one outbox slot per sequence number modulo mka_buffer: stale
         # key-agreement frames are better shed than replayed en masse
-        wire = mgmt.encode_message(mgmt.MgmtMessage.mka(data))
+        slot = self.stats.mka_forwarded % self.config.mka_buffer
         for peer in self.config.peers:
-            if not self.send_mgmt(peer, wire):
-                buf = self._mka_buffer[peer]
-                buf.append(data)
-                while len(buf) > self.config.mka_buffer:
-                    buf.popleft()
-                    self._drop("mka_buffer_overflow")
+            self._mgmt_out(peer, mgmt.MgmtMessage.mka(data), slot)
         self.stats.mka_forwarded += 1
 
     def _learn_from_uplink(self, frame: MacsecFrame) -> None:
@@ -552,7 +575,7 @@ class GatewayEngine:
     def on_timer(self, now: int) -> None:
         for entry in self.uplink.expire(now):
             for cast in (entry.unicast, entry.broadcast):
-                if cast.announced:
+                if cast.announced or cast.pending:
                     for peer in self.config.peers:
                         self._mgmt_out(peer, mgmt.MgmtMessage.expire(cast.bidf))
                 self._shed_pending(cast)
@@ -560,18 +583,8 @@ class GatewayEngine:
             self._last_hello = now
             for peer in self.config.peers:
                 self._mgmt_out(peer, mgmt.MgmtMessage.hello())
-        # retry transport-refused management messages, oldest first
-        for _ in range(len(self._mgmt_retry)):
-            peer, data = self._mgmt_retry.popleft()
-            if not self.send_mgmt(peer, data):
-                self._mgmt_retry.append((peer, data))
-                break
-        for peer, buf in self._mka_buffer.items():
-            while buf:
-                if self.send_mgmt(peer, mgmt.encode_message(mgmt.MgmtMessage.mka(buf[0]))):
-                    buf.popleft()
-                else:
-                    break
+        for peer in list(self._outbox):
+            self._flush(peer)
 
     # -- stats ------------------------------------------------------------
 

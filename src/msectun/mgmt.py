@@ -46,15 +46,13 @@ class MgmtMessage:
     bidf: bytes = b""
     header: HeaderData | None = None
     pn: int = 0
-    cast: int = CAST_UNICAST
     epoch: int = 0
     key: bytes = b""
     frame: bytes = b""
 
     @classmethod
     def announce(cls, bidf: bytes, header: HeaderData, pn: int) -> "MgmtMessage":
-        cast = CAST_BROADCAST if is_broadcast(header.dst) else CAST_UNICAST
-        return cls(MgmtKind.FLOW_ANNOUNCE, bidf=bidf, header=header, pn=pn, cast=cast)
+        return cls(MgmtKind.FLOW_ANNOUNCE, bidf=bidf, header=header, pn=pn)
 
     @classmethod
     def learned(cls, bidf: bytes) -> "MgmtMessage":
@@ -80,11 +78,8 @@ class MgmtMessage:
 def encode_message(msg: MgmtMessage) -> bytes:
     kind = msg.kind
     if kind is MgmtKind.FLOW_ANNOUNCE:
-        body = (
-            msg.bidf
-            + msg.header.pack()
-            + struct.pack(">IB", msg.pn, msg.cast)
-        )
+        cast = CAST_BROADCAST if is_broadcast(msg.header.dst) else CAST_UNICAST
+        body = msg.bidf + msg.header.pack() + struct.pack(">IB", msg.pn, cast)
     elif kind in (MgmtKind.FLOW_LEARNED, MgmtKind.FLOW_EXPIRE):
         body = msg.bidf
     elif kind is MgmtKind.REKEY:
@@ -127,7 +122,7 @@ def decode_message(data: bytes) -> MgmtMessage:
             raise MgmtError("bad cast marker")
         if (cast == CAST_BROADCAST) != (header.dst == BROADCAST_MAC):
             raise MgmtError("cast marker contradicts destination")
-        return MgmtMessage(kind, bidf=bidf, header=header, pn=pn, cast=cast)
+        return MgmtMessage(kind, bidf=bidf, header=header, pn=pn)
     if kind in (MgmtKind.FLOW_LEARNED, MgmtKind.FLOW_EXPIRE):
         if len(body) != 16:
             raise MgmtError("bad bidf body")

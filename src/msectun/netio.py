@@ -37,6 +37,16 @@ def parse_hostport(text: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
+def _recv_exact(conn: socket.socket, n: int) -> bytes:
+    data = b""
+    while len(data) < n:
+        chunk = conn.recv(n - len(data))
+        if not chunk:
+            raise ConnectionError("closed during the handshake")
+        data += chunk
+    return data
+
+
 @dataclass
 class PeerEndpoints:
     tunnel: tuple[str, int]
@@ -155,9 +165,11 @@ class GatewayRunner:
             except OSError:
                 return
             try:
-                hdr = conn.recv(2)
-                name = conn.recv(struct.unpack(">H", hdr)[0]).decode()
-            except (OSError, struct.error, UnicodeDecodeError):
+                conn.settimeout(1.0)  # a silent peer must not block the next one
+                (length,) = struct.unpack(">H", _recv_exact(conn, 2))
+                name = _recv_exact(conn, length).decode()
+                conn.settimeout(None)
+            except (OSError, UnicodeDecodeError):
                 conn.close()
                 continue
             with self._mgmt_lock:

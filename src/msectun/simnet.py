@@ -250,12 +250,6 @@ class Attacker:
             raise ConfigInvalid("attacker not attached to a WAN")
         self._wan.deliver_raw(dst, datagram, at, spoof_src or "attacker")
 
-    def replay_observed(self, dst: str, index: int, at: int, spoof_src: Optional[str] = None):
-        _, src, _, dg = self.observed[index]
-        if self._wan is None:
-            raise ConfigInvalid("attacker not attached to a WAN")
-        self._wan.deliver_raw(dst, dg, at, spoof_src or src)
-
 
 class Wan:
     """Untrusted network between gateways; applies the NetModel."""
@@ -481,11 +475,6 @@ class Scenario:
     def run(self) -> Transcript:
         self.loop.run(until=self.cfg.duration_us)
         return self.transcript
-
-    def device_frames_sent(self) -> dict[str, int]:
-        return {
-            d: self.transcript.count("dev_tx", site=d) for d in self.devices
-        }
 
 
 def run_scenario(cfg: ScenarioConfig, attacker: Optional[Attacker] = None) -> Scenario:

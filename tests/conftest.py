@@ -24,20 +24,26 @@ def protect(dst, src, sci, pn, payload=b"\x00" * 40, an=0, key=KEY, ethertype=0x
 
 
 class EnginePair:
-    """Two engines wired synchronously; LAN emissions collected.
+    """Engines wired synchronously in a full mesh; LAN emissions collected.
 
-    ``transit`` may be set to a callable (datagram) -> datagram | None
-    to mutate or drop tunnel traffic in flight; ``captured`` records
-    every datagram as sent, before any mutation.
+    ``names`` are the gateway ids, ``"A"`` and ``"B"`` by default; ``a``
+    and ``b`` are the first two engines.  ``transit`` may be set to a
+    callable (datagram) -> datagram | None to mutate or drop tunnel
+    traffic in flight; ``captured`` records every datagram as sent,
+    before any mutation.
     """
 
-    def __init__(self, scheme: Scheme, window: int = 64, seed: int = 1, **cfg_kw):
-        self.emitted = {"A": [], "B": []}
+    def __init__(
+        self, scheme: Scheme, window: int = 64, seed: int = 1, names=("A", "B"), **cfg_kw
+    ):
+        self.emitted = {own: [] for own in names}
         self.captured: list[tuple[str, str, bytes]] = []
         self.transit = None
         self.gws: dict[str, GatewayEngine] = {}
         rng = random.Random(seed)
-        for own, peer in (("A", "B"), ("B", "A")):
+        for own in names:
+            peers = [p for p in names if p != own]
+
             def send_tunnel(p, dg, own=own):
                 self.captured.append((own, p, dg))
                 if self.transit is not None:
@@ -54,15 +60,15 @@ class EnginePair:
                 self.emitted[own].append(frame)
 
             self.gws[own] = GatewayEngine(
-                GatewayConfig(own_id=own, peers=[peer], scheme=scheme, window=window, **cfg_kw),
+                GatewayConfig(own_id=own, peers=peers, scheme=scheme, window=window, **cfg_kw),
                 send_tunnel,
                 send_mgmt,
                 emit,
                 rng=rng,
             )
         self.now = 0
-        self.a = self.gws["A"]
-        self.b = self.gws["B"]
+        self.a = self.gws[names[0]]
+        self.b = self.gws[names[1]]
 
     def lan_a(self, raw: bytes, now: int | None = None):
         if now is not None:

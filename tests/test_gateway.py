@@ -9,7 +9,7 @@ from conftest import MAC_A, MAC_B, SCI_A, SCI_B, EnginePair, protect
 from msectun.encap import EncapScheme, encap
 from msectun.frame import BROADCAST_MAC, Sci
 from msectun.gateway import GatewayConfig, Scheme
-from msectun.mgmt import MgmtMessage, encode_message
+from msectun.mgmt import MgmtKind, MgmtMessage, decode_message, encode_message
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
@@ -282,6 +282,8 @@ def test_config_validation():
         GatewayConfig(own_id="A", peers=["A"])
     with pytest.raises(ValueError):
         GatewayConfig(own_id="A", peers=["B"], queue_limit=0)
+    with pytest.raises(ValueError):
+        GatewayConfig(own_id="A", peers=["B"], mka_buffer=0)
     cfg = GatewayConfig(own_id="A", peers=["B"], scheme="enc")
     assert cfg.scheme is Scheme.ENC
 
@@ -333,6 +335,95 @@ def test_queue_overflow_drops_oldest():
         _, raw = protect(MAC_B, MAC_A, SCI_A, pn)
         pair.lan_a(raw)
     assert pair.a.snapshot_stats().drops["unregistered_queue_overflow"] == 6
+
+
+def _refuse(gw, refusing):
+    """Make ``gw``'s management channel refuse the peers in ``refusing``."""
+    real_send = gw.send_mgmt
+    gw.send_mgmt = lambda p, d: p not in refusing and real_send(p, d)
+
+
+def _broadcasts(pns):
+    return [protect(BROADCAST_MAC, MAC_A, SCI_A, pn)[1] for pn in pns]
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_refusing_peer_holds_back_no_other(scheme):
+    """[B refusing, C up]: C gets every frame; B, once back, joins at the current PN."""
+    pair = EnginePair(scheme, names=("A", "B", "C"))
+    refusing = {"B"}
+    _refuse(pair.a, refusing)
+    first = _broadcasts(range(1, 101))
+    for raw in first:
+        pair.lan_a(raw)
+    assert pair.emitted["C"] == first
+    refusing.clear()
+    pair.a.on_timer(pair.now)
+    fresh = _broadcasts(range(101, 121))
+    for raw in fresh:
+        pair.lan_a(raw)
+    assert pair.emitted["C"] == first + fresh
+    assert pair.emitted["B"][-20:] == fresh
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_refusing_peer_holds_back_no_retry(scheme):
+    """B still refuses while C is back: C learns the flow on the first tick."""
+    pair = EnginePair(scheme, names=("A", "B", "C"))
+    refusing = {"B", "C"}
+    _refuse(pair.a, refusing)
+    frames = _broadcasts((1, 2))
+    pair.lan_a(frames[0])
+    refusing.discard("C")
+    pair.a.on_timer(pair.now)
+    assert len(pair.gws["C"].codec.downlink.flows) == 1
+    pair.lan_a(frames[1])
+    assert pair.emitted["C"] == frames
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_sa_expired_before_its_announcement_leaves_no_far_flow(scheme):
+    pair = EnginePair(scheme, flow_timeout_us=1000)
+    refusing = {"B"}
+    _refuse(pair.a, refusing)
+    pair.lan_a(protect(MAC_B, MAC_A, SCI_A, 1)[1], now=0)
+    pair.lan_a(protect(BROADCAST_MAC, MAC_A, SCI_A, 2)[1])
+    pair.a.on_timer(2000)
+    assert pair.a.uplink.get(SCI_A, 0) is None
+    refusing.clear()
+    pair.a.on_timer(3000)
+    assert pair.b.codec.downlink.flows == {}
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_refusing_peer_is_owed_one_message_per_key(scheme):
+    """50 frames and 5 HELLOs refused: one announcement and one HELLO wait."""
+    pair = EnginePair(scheme, hello_interval_us=1000)
+    refusing = {"B"}
+    delivered = []
+    real_send = pair.a.send_mgmt
+
+    def send(p, d):
+        if p in refusing:
+            return False
+        delivered.append(decode_message(d).kind)
+        return real_send(p, d)
+
+    pair.a.send_mgmt = send
+    frames = [protect(MAC_B, MAC_A, SCI_A, pn)[1] for pn in range(1, 52)]
+    for pn, raw in enumerate(frames[:50], 1):
+        pair.lan_a(raw, now=pn * 100)
+        if pn % 10 == 0:
+            pair.a.on_timer(pair.now)  # a HELLO is due each time
+    refusing.clear()
+    pair.a.on_timer(pair.now)
+    expected = Counter({MgmtKind.FLOW_ANNOUNCE: 1, MgmtKind.HELLO: 1})
+    if scheme is Scheme.ENC:
+        expected[MgmtKind.REKEY] = 1  # one new SA, one key rotation
+    assert Counter(delivered) == expected
+    pair.lan_a(frames[50])
+    assert pair.emitted["B"] == frames  # the queue drains, announced once
+    assert Counter(delivered) == expected
 
 
 def test_broadcast_always_to_all_peers():

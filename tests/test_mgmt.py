@@ -5,6 +5,8 @@ import pytest
 from msectun.flow import HeaderData
 from msectun.frame import BROADCAST_MAC, Sci
 from msectun.mgmt import (
+    CAST_BROADCAST,
+    CAST_UNICAST,
     MgmtError,
     MgmtKind,
     MgmtMessage,
@@ -19,19 +21,20 @@ HDR = HeaderData(dst=b"\x02\x00\x00\x00\x00\x02", src=SCI.system_id, sci=SCI, an
 
 def test_announce_roundtrip():
     msg = MgmtMessage.announce(b"\x11" * 16, HDR, pn=42)
-    back = decode_message(encode_message(msg))
+    wire = encode_message(msg)
+    back = decode_message(wire)
     assert back.kind is MgmtKind.FLOW_ANNOUNCE
     assert back.bidf == b"\x11" * 16
     assert back.header == HDR
     assert back.pn == 42
-    assert back.cast == 0
+    assert wire[-1] == CAST_UNICAST
 
 
 def test_announce_broadcast_cast_marker():
     hdr = HeaderData(dst=BROADCAST_MAC, src=SCI.system_id, sci=SCI, an=0)
-    back = decode_message(encode_message(MgmtMessage.announce(b"\x22" * 16, hdr, 1)))
-    assert back.cast == 1
-    assert back.header.dst == BROADCAST_MAC
+    wire = encode_message(MgmtMessage.announce(b"\x22" * 16, hdr, 1))
+    assert wire[-1] == CAST_BROADCAST
+    assert decode_message(wire).header.dst == BROADCAST_MAC
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import json
 import os
 import socket
+import struct
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ import pytest
 
 from conftest import MAC_A, MAC_B, SCI_A, protect
 from msectun.gateway import GatewayConfig, Scheme
+from msectun.mgmt import MgmtMessage, encode_message
 from msectun.netio import GatewayRunner, PeerEndpoints, parse_hostport
 
 
@@ -82,6 +84,25 @@ def test_udp_loopback_end_to_end(scheme):
             r.stop()
         dev_a.close()
         dev_b.close()
+
+
+def test_silent_mgmt_connection_does_not_block_peers():
+    runners, ports = _runner_pair(Scheme.NAIVE)
+    gw_b = runners["B"]
+    gw_b.start()
+    mgmt_addr = ("127.0.0.1", ports["B"]["mgmt"])
+    silent = socket.create_connection(mgmt_addr)  # never sends its handshake
+    try:
+        with socket.create_connection(mgmt_addr) as peer:
+            peer.sendall(struct.pack(">H", 3) + b"gwA" + encode_message(MgmtMessage.hello()))
+            deadline = time.monotonic() + 5
+            while "gwA" not in gw_b.engine.peer_liveness and time.monotonic() < deadline:
+                time.sleep(0.05)
+        assert "gwA" in gw_b.engine.peer_liveness
+    finally:
+        silent.close()
+        for r in runners.values():
+            r.stop()
 
 
 def test_parse_hostport():
