@@ -20,7 +20,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
-from . import encap, frame as fr, idf as idf_mod, mgmt
+from . import encap, enc as enc_mod, frame as fr, fullenc as fullenc_mod, idf as idf_mod, mgmt
 from .enc import MIN_FRAME as ENC_MIN_FRAME, EncTunnel, PairKeys
 from .flow import (
     DEFAULT_FLOW_TIMEOUT_US,
@@ -38,6 +38,27 @@ from .fullenc import FullEncTunnel
 from .idf import IdfDownlink
 
 log = logging.getLogger(__name__)
+
+# Every reason a drop or warning counter can carry, declared once so that
+# ``GatewayStats.as_dict`` keeps one schema from the first snapshot on:
+# the gateway's own drop names plus the codecs' ``REASON_*`` constants.
+DROP_REASONS = tuple(
+    sorted(
+        {
+            "decap_error", "mgmt_malformed", "mka_buffer_overflow", "not_macsec",
+            "parse_error", "peer_filtered", "scheme_mismatch", "too_large",
+            "too_short_for_scheme", "unknown_peer", "unregistered_queue_overflow",
+            "unsupported_shape", "zero_pn",
+        }
+        | {
+            value
+            for module in (idf_mod, enc_mod, fullenc_mod)
+            for name, value in vars(module).items()
+            if name.startswith("REASON_")
+        }
+    )
+)
+WARNING_REASONS = ("learned_conflict", "unicast_dst_change")
 
 
 class Scheme(enum.Enum):
@@ -107,11 +128,21 @@ class GatewayStats:
             for f in fields(self)
             if f.name not in ("drops", "warnings")
         }
-        for reason, n in sorted(self.drops.items()):
-            out[f"drop_{reason}"] = n
-        for reason, n in sorted(self.warnings.items()):
-            out[f"warn_{reason}"] = n
+        out.update(_counts("drop", self.drops, DROP_REASONS))
+        out.update(_counts("warn", self.warnings, WARNING_REASONS))
         return out
+
+
+def _counts(prefix: str, counter: Counter, declared: tuple[str, ...]) -> dict:
+    """Every declared reason, 0 until it fires."""
+    return {f"{prefix}_{reason}": counter[reason] for reason in declared}
+
+
+def _count(counter: Counter, declared: tuple[str, ...], reason: str, n: int) -> None:
+    """Count ``reason``, which must be declared so the stats schema holds."""
+    if reason not in declared:
+        raise ValueError(f"undeclared reason {reason!r}")
+    counter[reason] += n
 
 
 def _directional_key(secret: bytes, sender: str) -> bytes:
@@ -147,6 +178,8 @@ class SchemeCodec:
       the scheme
     - ``decode(body, from_peer, now)``: a ``DecodeResult``, the frame
       or a drop reason
+    - ``needs_announce``: whether ``decode`` needs the flow's
+      announcement, so a peer still owed it is sent none of its datagrams
     - ``on_new_sa(now)``: the (peer, management message) pairs a new
       uplink SA calls for
     - ``on_rekey(msg, from_peer, now)``: take a peer's key rotation
@@ -156,6 +189,7 @@ class SchemeCodec:
 
     tag = encap.EncapScheme.NAIVE
     table = DownlinkFlows
+    needs_announce = False
 
     def __init__(self, config: GatewayConfig, rand_bytes: Callable[[int], bytes]):
         self.downlink = self.table(config.window)
@@ -182,6 +216,7 @@ class SchemeCodec:
 class IdfCodec(SchemeCodec):
     tag = encap.EncapScheme.IDF
     table = IdfDownlink
+    needs_announce = True
 
     def __init__(self, config: GatewayConfig, rand_bytes: Callable[[int], bytes]):
         super().__init__(config, rand_bytes)
@@ -206,6 +241,7 @@ class IdfCodec(SchemeCodec):
 class EncCodec(SchemeCodec):
     tag = encap.EncapScheme.ENC
     table = EncTunnel
+    needs_announce = True
 
     def __init__(self, config: GatewayConfig, rand_bytes: Callable[[int], bytes]):
         super().__init__(config, rand_bytes)
@@ -332,8 +368,11 @@ class GatewayEngine:
             return _secrets.token_bytes(n)
         return self.rng.getrandbits(8 * n).to_bytes(n, "big")
 
-    def _drop(self, reason: str) -> None:
-        self.stats.drops[reason] += 1
+    def _drop(self, reason: str, n: int = 1) -> None:
+        _count(self.stats.drops, DROP_REASONS, reason, n)
+
+    def _warn(self, reason: str) -> None:
+        _count(self.stats.warnings, WARNING_REASONS, reason, 1)
 
     def _mgmt_out(self, peer: str, msg: mgmt.MgmtMessage, subject=None) -> None:
         """Queue ``msg`` in ``peer``'s outbox, then send what it takes."""
@@ -402,7 +441,7 @@ class GatewayEngine:
                 # the per-SA entry tracks one unicast destination; a
                 # second one rotates the base identifier to a new flow,
                 # whose far gateway is not learned yet
-                self.stats.warnings["unicast_dst_change"] += 1
+                self._warn("unicast_dst_change")
                 for peer in self.config.peers:
                     self._mgmt_out(peer, mgmt.MgmtMessage.expire(cast.bidf))
                 self._shed_pending(cast)
@@ -436,17 +475,11 @@ class GatewayEngine:
             self._learn_from_uplink(frame)
         else:
             self._tunnel_frame(frame, data, entry, broadcast, now)
-        if any(self._outbox.values()):
-            # a peer that takes the announcement late starts at this PN
-            key = (mgmt.MgmtKind.FLOW_ANNOUNCE, cast.bidf)
-            for box in self._outbox.values():
-                if key in box:
-                    box[key].pn = frame.sectag.pn
 
     def _shed_pending(self, cast: UplinkCast) -> None:
         """Count the queued frames of a flow that ends unannounced."""
         if cast.pending:
-            self.stats.drops["unregistered_queue_overflow"] += len(cast.pending)
+            self._drop("unregistered_queue_overflow", len(cast.pending))
 
     def _tunnel_frame(
         self,
@@ -461,6 +494,17 @@ class GatewayEngine:
             targets = list(cfg.peers)
         else:
             targets = [p for p in entry.remote_gateways if p in cfg.peers]
+        if any(self._outbox.values()):
+            # a peer that takes the announcement late starts at this PN;
+            # if the scheme decodes by flow, it cannot decode the flow's
+            # datagrams until then, so it is skipped
+            cast = entry.broadcast if broadcast else entry.unicast
+            key = (mgmt.MgmtKind.FLOW_ANNOUNCE, cast.bidf)
+            for box in self._outbox.values():
+                if key in box:
+                    box[key].pn = frame.sectag.pn
+            if self.codec.needs_announce:
+                targets = [p for p in targets if key not in self._outbox[p]]
 
         bodies = self.codec.encode(frame, raw, entry, targets)
         if bodies is None:
@@ -562,7 +606,7 @@ class GatewayEngine:
         if entry is None:
             return
         if entry.remote_gateways and entry.remote_gateways != {from_peer}:
-            self.stats.warnings["learned_conflict"] += 1
+            self._warn("learned_conflict")
             log.warning(
                 "flow claimed by %s and %s; keeping the newer claim",
                 entry.remote_gateways,

@@ -5,7 +5,7 @@ import struct
 
 import pytest
 
-from msectun.flow import HeaderData, UplinkCast, UplinkFlowEntry, new_bidf
+from msectun.flow import PN_MAX, HeaderData, UplinkCast, UplinkFlowEntry, new_bidf
 from msectun.frame import (
     BROADCAST_MAC,
     PlainFrame,
@@ -19,6 +19,7 @@ from msectun.idf import (
     IdfDownlink,
     UnregisteredFlow,
     derive_ridf,
+    derive_ridfs,
     uplink_encode,
 )
 from msectun.siphash import siphash24
@@ -99,6 +100,33 @@ def test_ridf_bit_balance():
     assert 31.5 < mean < 32.5
     var = sum((c - mean) ** 2 for c in counts) / n
     assert 10 < var < 22  # binomial(64, .5) variance is 16
+
+
+def _pn_sets(window):
+    """Contiguous and gapped PN sets of 1 to 2 * window PNs, some ending at PN_MAX."""
+    rng = random.Random(window)
+    for n in (1, 2, window - 1, window, window + 1, 2 * window):
+        for start in (1, 1000, PN_MAX - n + 1):
+            yield list(range(start, start + n))
+        gapped = sorted(rng.sample(range(1, 4 * n + 1), n))
+        yield gapped
+        yield [PN_MAX - 4 * n + p for p in gapped]
+
+
+@pytest.mark.parametrize("window", [8, 64])
+def test_derive_ridfs_matches_scalar(window):
+    bidf = new_bidf(random.Random(window))
+    for pns in _pn_sets(window):
+        assert derive_ridfs(bidf, pns) == [derive_ridf(bidf, pn) for pn in pns]
+
+
+def test_derive_ridfs_random_bidfs():
+    rng = random.Random(7)
+    for _ in range(50):
+        bidf = new_bidf(rng)
+        pns = sorted(rng.sample(range(1, PN_MAX + 1), rng.randint(1, 128)))
+        assert derive_ridfs(bidf, pns) == [derive_ridf(bidf, pn) for pn in pns]
+    assert derive_ridfs(bidf, []) == []
 
 
 # -- uplink encoding -----------------------------------------------------------
@@ -303,6 +331,28 @@ def test_remove_flow_clears_identifiers():
     dn.remove(entry.unicast.bidf)
     assert entry.unicast.bidf not in dn.flows
     assert dn.flows[entry.broadcast.bidf].bound is None
+    dn.audit()
+
+
+def test_batched_refill_keeps_older_entry_on_collision(monkeypatch):
+    """A cross-flow collision during a batched fill keeps the older entry.
+
+    With an identifier that ignores the bidf, a second flow at PN 5
+    collides with the first flow's PNs 5..8 and keeps only 9..12, as
+    one scalar derivation per PN in ascending order would.
+    """
+    import msectun.idf as idf
+
+    monkeypatch.setattr(idf, "derive_ridf", lambda bidf, pn: pn)
+    monkeypatch.setattr(idf, "derive_ridfs", lambda bidf, pns: list(pns))
+    dn = IdfDownlink(window_size=8)
+    first = dn.register(b"\x01" * 16, HeaderData(DST, SCI.system_id, SCI, 0), 1)
+    other = Sci(b"\x02\x00\x00\x00\x00\x09", 1)
+    second = dn.register(b"\x02" * 16, HeaderData(DST, other.system_id, other, 0), 5)
+    assert dn.ridf_collisions == 4 and dn.hash_calls == 16
+    assert sorted(first.ids) == list(range(1, 9))
+    assert sorted(second.ids) == list(range(9, 13))
+    assert all(dn.ids[pn].flow is first for pn in range(5, 9))
     dn.audit()
 
 

@@ -25,6 +25,13 @@ def _udp_port():
     return port
 
 
+def _wait_for(cond, seconds: float) -> None:
+    """Poll ``cond`` until it holds or ``seconds`` have passed."""
+    deadline = time.monotonic() + seconds
+    while not cond() and time.monotonic() < deadline:
+        time.sleep(0.05)
+
+
 def _runner_pair(scheme: Scheme):
     ports = {gw: {k: _udp_port() for k in ("tun", "mgmt", "lan", "dev")} for gw in "AB"}
     secret = bytes(range(32))
@@ -95,9 +102,7 @@ def test_silent_mgmt_connection_does_not_block_peers():
     try:
         with socket.create_connection(mgmt_addr) as peer:
             peer.sendall(struct.pack(">H", 3) + b"gwA" + encode_message(MgmtMessage.hello()))
-            deadline = time.monotonic() + 5
-            while "gwA" not in gw_b.engine.peer_liveness and time.monotonic() < deadline:
-                time.sleep(0.05)
+            _wait_for(lambda: "gwA" in gw_b.engine.peer_liveness, 5)
         assert "gwA" in gw_b.engine.peer_liveness
     finally:
         silent.close()
@@ -165,10 +170,21 @@ def test_stats_interval_dump():
     runners["A"].stats_sink = lines.append
     for r in runners.values():
         r.start()
+    lan = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
-        time.sleep(0.7)
+        _wait_for(lambda: len(lines) >= 2, 0.7)
         assert len(lines) >= 2
-        assert "frames_tunneled" in lines[0]  # header row first
+        header = lines[0].split(",")
+        assert "frames_tunneled" in header  # header row first
+        # a drop that first fires after the header row keeps the columns
+        lan.sendto(bytes(64), ("127.0.0.1", ports["A"]["lan"]))
+        seen = len(lines)
+        _wait_for(lambda: len(lines) >= seen + 2, 0.7)
+        assert len(lines) >= seen + 2
+        rows = [line.split(",") for line in lines[1:]]
+        assert all(len(row) == len(header) for row in rows)
+        assert rows[-1][header.index("drop_not_macsec")] == "1"
     finally:
+        lan.close()
         for r in runners.values():
             r.stop()

@@ -1,8 +1,11 @@
 """SipHash-2-4 against the reference test vectors."""
 
+import random
 import struct
 
-from msectun.siphash import siphash24, siphash24_digest
+import pytest
+
+from msectun.siphash import siphash24, siphash24_digest, siphash24_many
 
 # Reference vectors: key 000102...0f, message = bytes(range(i)) for
 # i in 0..63; each entry is the little-endian digest of the 64-bit hash.
@@ -53,3 +56,35 @@ def test_key_length_enforced():
 def test_key_sensitivity():
     other = bytes([1]) + KEY[1:]
     assert siphash24(KEY, b"data") != siphash24(other, b"data")
+
+
+# -- batched kernel -------------------------------------------------------
+
+
+@pytest.mark.parametrize("length", range(41))
+def test_many_matches_scalar(length):
+    """One message under many random keys equals one scalar hash per key."""
+    rng = random.Random(length)
+    for n in (1, 2, 7, 64, 129):
+        keys = [rng.randbytes(16) for _ in range(n)]
+        data = rng.randbytes(length)
+        assert siphash24_many(keys, data) == [siphash24(k, data) for k in keys]
+
+
+def test_many_extreme_lanes():
+    """All-zero and all-one keys side by side: no carry crosses a lane."""
+    keys = [bytes(16), b"\xff" * 16, bytes(16), b"\xff" * 16, KEY]
+    for data in (b"", b"\xff" * 8, b"\xff" * 16, bytes(range(15))):
+        assert siphash24_many(keys, data) == [siphash24(k, data) for k in keys]
+
+
+def test_many_reference_vectors():
+    for i, expect in enumerate(VECTORS):
+        (h,) = siphash24_many([KEY], bytes(range(i)))
+        assert struct.pack("<Q", h).hex() == expect, f"vector {i}"
+
+
+def test_many_empty_and_key_length():
+    assert siphash24_many([], b"x") == []
+    with pytest.raises(ValueError):
+        siphash24_many([KEY, b"short"], b"x")
