@@ -1,10 +1,10 @@
 """Benchmark driver: per-scheme throughput, latency and size accounting.
 
-Drives a pair of gateway engines over a loopback transport (direct
-in-process calls, or real UDP sockets via --mode udp) and sweeps frame
-sizes.  Latency is measured in-process from LAN ingress at the sending
-gateway to LAN egress at the receiving one; frame generation happens
-outside the timed section and is identical for every scheme.
+Drives a pair of gateway engines wired by direct in-process calls
+(``pair.EnginePair``) and sweeps frame sizes.  Latency is measured from
+LAN ingress at the sending gateway to LAN egress at the receiving one;
+frame generation happens outside the timed section and is identical
+for every scheme.
 
 Absolute numbers are hardware- and runtime-bound; the quantity of
 interest is the relative ordering of the schemes and their exact
@@ -13,14 +13,14 @@ per-frame overheads and crypto-operation counts.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 
-from .frame import PlainFrame, Sci, build_macsec, endpoint_protect
-from .gateway import GatewayConfig, GatewayEngine, Scheme
+from .frame import Sci
+from .gateway import Scheme
+from .pair import EnginePair, seal
 
-MIN_FRAME_SIZE = 64  # smallest sweepable LAN frame (payload 18)
+MIN_FRAME_SIZE = 50  # smallest sweepable frame: 46 bytes of MACsec framing, payload 4
 
 
 @dataclass
@@ -58,88 +58,56 @@ def results_csv(results: list[BenchResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _InprocPair:
-    """Two engines wired back to back with synchronous delivery."""
-
-    def __init__(self, scheme: Scheme, window: int = 64):
-        self.emitted: list[bytes] = []
-        self.last_wire = 0
-        gws: dict[str, GatewayEngine] = {}
-
-        def mk(own: str, peer: str, sink):
-            def send_tunnel(p, dg):
-                self.last_wire = len(dg)
-                gws[p].on_tunnel_datagram(dg, own, now=self._now())
-
-            def send_mgmt(p, data):
-                gws[p].on_mgmt_bytes(data, own, now=self._now())
-                return True
-
-            cfg = GatewayConfig(own_id=own, peers=[peer], scheme=scheme, window=window)
-            return GatewayEngine(cfg, send_tunnel, send_mgmt, sink, rng=random.Random(1))
-
-        gws["A"] = mk("A", "B", lambda f: None)
-        gws["B"] = mk("B", "A", self.emitted.append)
-        self.a = gws["A"]
-        self.b = gws["B"]
-
-    @staticmethod
-    def _now() -> int:
-        return time.monotonic_ns() // 1000
-
-
 def _protect_series(sci: Sci, dst: bytes, key: bytes, frame_size: int, start_pn: int, n: int):
-    payload_len = frame_size - 46
-    if payload_len < 4:
+    if frame_size < MIN_FRAME_SIZE:
         raise ValueError(f"frame size {frame_size} too small (min {MIN_FRAME_SIZE})")
-    payload = bytes(payload_len)
-    out = []
-    for pn in range(start_pn, start_pn + n):
-        f = endpoint_protect(
-            PlainFrame(dst=dst, src=sci.system_id, ethertype=0x0800, payload=payload),
-            key,
-            sci,
-            an=0,
-            pn=pn,
-        )
-        out.append(build_macsec(f))
-    return out
+    payload = bytes(frame_size - 46)
+    return [seal(key, dst, sci.system_id, sci, pn, payload) for pn in range(start_pn, start_pn + n)]
 
 
 def run_bench_cell(scheme: Scheme, frame_size: int, seconds: float, window: int = 64) -> BenchResult:
-    """One (scheme, size) measurement over a fresh gateway pair."""
-    pair = _InprocPair(scheme, window)
+    """One (scheme, size) measurement over a fresh gateway pair.
+
+    Raises ValueError for a size the scheme cannot carry."""
+    pair = EnginePair(scheme, window)
     key = bytes(range(16))
     sci = Sci(b"\x02\x00\x00\x00\x00\x0a", 1)
     dst = b"\x02\x00\x00\x00\x00\x0b"
+    delivered = pair.emitted["B"]
 
     # warm up: establish the flow, learn the peer, fill the window
-    warm = _protect_series(sci, dst, key, frame_size, 1, 8)
-    for raw in warm:
-        pair.a.on_lan_frame(raw, now=0)
+    for raw in _protect_series(sci, dst, key, frame_size, 1, 8):
+        pair.lan_a(raw)
+    if not delivered:
+        drops = dict(pair.a.stats.drops + pair.b.stats.drops)
+        raise ValueError(f"{scheme.value} delivers no {frame_size}-byte frame (drops: {drops})")
+    wire_size = len(pair.captured[-1][2])
     a0 = pair.a.snapshot_stats()
     b0 = pair.b.snapshot_stats()
-    delivered0 = len(pair.emitted)
 
     pn = 9
     latencies: list[int] = []
-    frames = 0
+    frames = received = 0
     batch = 64
     # the wall clock bounds the run; only the engine work is timed
     deadline = time.perf_counter() + seconds
     while time.perf_counter() < deadline:
+        # keep only this batch's deliveries and datagrams
+        delivered.clear()
+        pair.captured.clear()
         series = _protect_series(sci, dst, key, frame_size, pn, batch)
         pn += batch
         for raw in series:
             t0 = time.perf_counter_ns()
-            pair.a.on_lan_frame(raw, now=t0 // 1000)
+            pair.lan_a(raw, now=t0 // 1000)
             latencies.append(time.perf_counter_ns() - t0)
             frames += 1
             if time.perf_counter() > deadline:
                 break
+        received += len(delivered)
     elapsed = sum(latencies) / 1e9
 
-    assert len(pair.emitted) - delivered0 == frames, "frames lost in bench loop"
+    assert received == frames, "frames lost in bench loop"
     a1 = pair.a.snapshot_stats()
     b1 = pair.b.snapshot_stats()
     hash_ops = (
@@ -164,9 +132,9 @@ def run_bench_cell(scheme: Scheme, frame_size: int, seconds: float, window: int 
         frames=frames,
         seconds=elapsed,
         frames_per_sec=fps,
-        mbit_per_sec=fps * pair.last_wire * 8 / 1e6,
-        wire_size=pair.last_wire,
-        overhead_bytes=pair.last_wire - frame_size,
+        mbit_per_sec=fps * wire_size * 8 / 1e6,
+        wire_size=wire_size,
+        overhead_bytes=wire_size - frame_size,
         hash_per_frame=hash_ops / frames if frames else 0.0,
         blocks_per_frame=block_ops / frames if frames else 0.0,
         p50_us=p50,

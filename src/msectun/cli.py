@@ -96,8 +96,11 @@ def bench_main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     schemes = [Scheme(s.strip()) for s in args.schemes.split(",") if s.strip()]
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    results = run_bench(schemes, sizes, args.secs, args.window)
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+        results = run_bench(schemes, sizes, args.secs, args.window)
+    except ValueError as e:
+        parser.error(f"--sizes: {e}")
     csv = results_csv(results)
     if args.out == "-":
         sys.stdout.write(csv)

@@ -80,14 +80,6 @@ def is_broadcast(mac: bytes) -> bool:
     return mac == BROADCAST_MAC
 
 
-def is_multicast(mac: bytes) -> bool:
-    return bool(mac[0] & 0x01)
-
-
-def mac_str(mac: bytes) -> str:
-    return ":".join(f"{b:02x}" for b in mac)
-
-
 @dataclass(frozen=True)
 class Sci:
     """64-bit secure channel identifier: device MAC plus port number."""

@@ -38,10 +38,6 @@ REASON_OUT_OF_WINDOW = WindowStatus.OUT_OF_WINDOW.value
 REASON_MALFORMED = "malformed"
 
 
-class UnregisteredFlow(LookupError):
-    """Frame arrived for a flow discovery has not registered yet."""
-
-
 def derive_ridf(bidf: bytes, pn: int) -> int:
     """Rotating identifier for one packet number of a flow.
 
@@ -64,14 +60,12 @@ def derive_ridfs(bidf: bytes, pns: list[int]) -> list[int]:
     return siphash24_many([struct.pack(">IIII", pn, pn, pn, pn) for pn in pns], bidf)
 
 
-def uplink_encode(frame: MacsecFrame, entry: Optional[UplinkFlowEntry]) -> bytes:
+def uplink_encode(frame: MacsecFrame, entry: UplinkFlowEntry) -> bytes:
     """Swap sensitive headers for the rotating identifier.
 
     Payload and ICV are copied untouched; the caller picks up the
     per-destination-class base identifier from the uplink entry.
     """
-    if entry is None:
-        raise UnregisteredFlow("flow must be announced before encoding")
     tag = frame.sectag
     ridf = derive_ridf(entry.cast(frame.dst).bidf, tag.pn)
     return (

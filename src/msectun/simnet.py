@@ -14,7 +14,7 @@ import hashlib
 import heapq
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 from .frame import (
@@ -22,15 +22,13 @@ from .frame import (
     ETHERTYPE_EAPOL,
     FrameError,
     IcvMismatch,
-    PlainFrame,
     Sci,
-    build_macsec,
-    endpoint_protect,
     endpoint_verify,
     ethertype_of,
     parse_macsec,
 )
 from .gateway import GatewayConfig, GatewayEngine, Scheme
+from .pair import seal
 
 
 class ConfigInvalid(ValueError):
@@ -160,14 +158,7 @@ class SimDevice:
     def send(self, dst: bytes, payload: bytes, ethertype: int = 0x0800) -> bytes:
         an, pn = self.next_sa()
         key = self.keys.key_for(self.sci, an)
-        frame = endpoint_protect(
-            PlainFrame(dst=dst, src=self.mac, ethertype=ethertype, payload=payload),
-            key,
-            self.sci,
-            an,
-            pn,
-        )
-        raw = build_macsec(frame)
+        raw = seal(key, dst, self.mac, self.sci, pn, payload, an, ethertype)
         self.transcript.log(self.lan.loop.now, self.name, "dev_tx", _h(raw))
         self.lan.emit(raw, exclude=self.name)
         return raw
@@ -485,19 +476,20 @@ def run_scenario(cfg: ScenarioConfig, attacker: Optional[Attacker] = None) -> Sc
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
-    """Build a config from a plain dict (e.g. a parsed JSON file)."""
-    net = NetModel(**data.get("net", {}))
-    traffic = [TrafficSpec(**t) for t in data.get("traffic", [])]
-    return ScenarioConfig(
-        lans=data["lans"],
-        scheme=Scheme(data.get("scheme", "idf")),
-        net=net,
-        traffic=traffic,
-        duration_us=data.get("duration_us", 10_000_000),
-        window=data.get("window", 64),
-        an_ceiling=data.get("an_ceiling", 1 << 16),
-        bind_flows=data.get("bind_flows", True),
-    )
+    """Build a config from a plain dict (e.g. a parsed JSON file).
+
+    Keys are ``ScenarioConfig`` field names; an absent key takes the
+    field's default and an unknown one raises ``ConfigInvalid``.
+    """
+    unknown = set(data) - {f.name for f in fields(ScenarioConfig)}
+    if unknown:
+        raise ConfigInvalid(f"unknown scenario keys: {', '.join(sorted(unknown))}")
+    converted = {
+        "scheme": Scheme(data.get("scheme", ScenarioConfig.scheme)),
+        "net": NetModel(**data.get("net", {})),
+        "traffic": [TrafficSpec(**t) for t in data.get("traffic", [])],
+    }
+    return ScenarioConfig(**(data | converted))
 
 
 def load_scenario(path: str) -> ScenarioConfig:

@@ -1,9 +1,7 @@
-import random
+from functools import partial
 
-import pytest
-
-from msectun.frame import PlainFrame, Sci, build_macsec, endpoint_protect
-from msectun.gateway import GatewayConfig, GatewayEngine, Scheme
+from msectun.frame import Sci
+from msectun.pair import seal
 
 MAC_A = b"\x02\xaa\x00\x00\x00\x01"
 MAC_B = b"\x02\xbb\x00\x00\x00\x01"
@@ -11,76 +9,5 @@ SCI_A = Sci(MAC_A, 1)
 SCI_B = Sci(MAC_B, 1)
 KEY = bytes(range(16))
 
-
-def protect(dst, src, sci, pn, payload=b"\x00" * 40, an=0, key=KEY, ethertype=0x0800):
-    frame = endpoint_protect(
-        PlainFrame(dst=dst, src=src, ethertype=ethertype, payload=payload),
-        key,
-        sci,
-        an,
-        pn,
-    )
-    return frame, build_macsec(frame)
-
-
-class EnginePair:
-    """Engines wired synchronously in a full mesh; LAN emissions collected.
-
-    ``names`` are the gateway ids, ``"A"`` and ``"B"`` by default; ``a``
-    and ``b`` are the first two engines.  ``transit`` may be set to a
-    callable (datagram) -> datagram | None to mutate or drop tunnel
-    traffic in flight; ``captured`` records every datagram as sent,
-    before any mutation.
-    """
-
-    def __init__(
-        self, scheme: Scheme, window: int = 64, seed: int = 1, names=("A", "B"), **cfg_kw
-    ):
-        self.emitted = {own: [] for own in names}
-        self.captured: list[tuple[str, str, bytes]] = []
-        self.transit = None
-        self.gws: dict[str, GatewayEngine] = {}
-        rng = random.Random(seed)
-        for own in names:
-            peers = [p for p in names if p != own]
-
-            def send_tunnel(p, dg, own=own):
-                self.captured.append((own, p, dg))
-                if self.transit is not None:
-                    dg = self.transit(dg)
-                    if dg is None:
-                        return
-                self.gws[p].on_tunnel_datagram(dg, own, now=self.now)
-
-            def send_mgmt(p, data, own=own):
-                self.gws[p].on_mgmt_bytes(data, own, now=self.now)
-                return True
-
-            def emit(frame, own=own):
-                self.emitted[own].append(frame)
-
-            self.gws[own] = GatewayEngine(
-                GatewayConfig(own_id=own, peers=peers, scheme=scheme, window=window, **cfg_kw),
-                send_tunnel,
-                send_mgmt,
-                emit,
-                rng=rng,
-            )
-        self.now = 0
-        self.a = self.gws[names[0]]
-        self.b = self.gws[names[1]]
-
-    def lan_a(self, raw: bytes, now: int | None = None):
-        if now is not None:
-            self.now = now
-        self.a.on_lan_frame(raw, self.now)
-
-    def lan_b(self, raw: bytes, now: int | None = None):
-        if now is not None:
-            self.now = now
-        self.b.on_lan_frame(raw, self.now)
-
-
-@pytest.fixture
-def pair_factory():
-    return EnginePair
+# protect(dst, src, sci, pn, payload=..., an=..., ethertype=...) -> wire bytes
+protect = partial(seal, KEY)

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import KEY, MAC_A, MAC_B, SCI_A, EnginePair, protect
+from conftest import KEY, MAC_A, MAC_B, SCI_A, protect
 from test_flow import NaiveWindow
 from test_siphash import VECTORS as SIPHASH_VECTORS
 
@@ -27,6 +27,7 @@ from msectun.frame import (
 )
 from msectun.gateway import Scheme
 from msectun.mgmt import MgmtError, MgmtMessage, decode_message, encode_message
+from msectun.pair import EnginePair
 from msectun.siphash import siphash24_digest
 from msectun.simnet import (
     Attacker,
@@ -228,7 +229,7 @@ def test_c04_flow_binding():
 def _fresh_pair(scheme: Scheme, frames: int = 80) -> EnginePair:
     pair = EnginePair(scheme, seed=505)
     for pn in range(1, frames + 1):
-        _, raw = protect(MAC_B, MAC_A, SCI_A, pn, payload=bytes(48))
+        raw = protect(MAC_B, MAC_A, SCI_A, pn, payload=bytes(48))
         pair.lan_a(raw)
     return pair
 
@@ -249,7 +250,7 @@ def test_c05_attack_replay():
         before = pair.b.snapshot_stats()
         emitted_before = len(pair.emitted["B"])
         for pn in range(21, 121):
-            _, raw = protect(MAC_B, MAC_A, SCI_A, pn, payload=bytes(48))
+            raw = protect(MAC_B, MAC_A, SCI_A, pn, payload=bytes(48))
             pair.lan_a(raw)
             pair.b.on_tunnel_datagram(pair.captured[-1][2], "A", now=pair.now)
         after = pair.b.snapshot_stats()
@@ -340,14 +341,14 @@ def test_c05_attack_bit_mutation_offset_map(scheme, classes):
             return bytes(b)
 
         pair.transit = transit
-        _, raw = protect(MAC_B, MAC_A, SCI_A, 1, payload=bytes(48))
+        raw = protect(MAC_B, MAC_A, SCI_A, 1, payload=bytes(48))
         pair.lan_a(raw)  # discovery happens unmutated
         pair.now = 3_000_000  # past the rekey grace: one epoch valid
         state["mutate"] = True
         before = pair.b.snapshot_stats()
         emitted_before = len(pair.emitted["B"])
         for pn in range(2, per_class + 2):
-            _, raw = protect(MAC_B, MAC_A, SCI_A, pn, payload=bytes(48))
+            raw = protect(MAC_B, MAC_A, SCI_A, pn, payload=bytes(48))
             pair.lan_a(raw)
         after = pair.b.snapshot_stats()
         survivors = pair.emitted["B"][emitted_before:]
@@ -394,10 +395,10 @@ def test_c06_crypto_op_accounting():
     # under the default policy (an unbound unicast flow)
     pair = EnginePair(Scheme.IDF)
     for pn in range(1, 11):
-        pair.lan_a(protect(MAC_B, MAC_A, SCI_A, pn)[1])
+        pair.lan_a(protect(MAC_B, MAC_A, SCI_A, pn))
     a0, b0 = pair.a.snapshot_stats(), pair.b.snapshot_stats()
     for pn in range(11, 11 + n):
-        pair.lan_a(protect(MAC_B, MAC_A, SCI_A, pn)[1])
+        pair.lan_a(protect(MAC_B, MAC_A, SCI_A, pn))
     a1, b1 = pair.a.snapshot_stats(), pair.b.snapshot_stats()
     assert a1.hash_calls_uplink - a0.hash_calls_uplink == n
     assert b1.hash_calls_downlink - b0.hash_calls_downlink == n
@@ -406,10 +407,10 @@ def test_c06_crypto_op_accounting():
     # per direction
     pair = EnginePair(Scheme.ENC)
     for pn in range(1, 11):
-        pair.lan_a(protect(MAC_B, MAC_A, SCI_A, pn)[1])
+        pair.lan_a(protect(MAC_B, MAC_A, SCI_A, pn))
     a0, b0 = pair.a.snapshot_stats(), pair.b.snapshot_stats()
     for pn in range(11, 11 + n):
-        pair.lan_a(protect(MAC_B, MAC_A, SCI_A, pn)[1])
+        pair.lan_a(protect(MAC_B, MAC_A, SCI_A, pn))
     a1, b1 = pair.a.snapshot_stats(), pair.b.snapshot_stats()
     assert a1.block_ops_uplink - a0.block_ops_uplink == 2 * n
     assert b1.block_ops_downlink - b0.block_ops_downlink == 2 * n
@@ -417,10 +418,10 @@ def test_c06_crypto_op_accounting():
     # full-frame baseline: at least frame_len/16 block operations
     frame_len = 46 + 400
     pair = EnginePair(Scheme.FULLENC)
-    pair.lan_a(protect(MAC_B, MAC_A, SCI_A, 1, payload=bytes(400))[1])
+    pair.lan_a(protect(MAC_B, MAC_A, SCI_A, 1, payload=bytes(400)))
     a0 = pair.a.snapshot_stats()
     for pn in range(2, 102):
-        pair.lan_a(protect(MAC_B, MAC_A, SCI_A, pn, payload=bytes(400))[1])
+        pair.lan_a(protect(MAC_B, MAC_A, SCI_A, pn, payload=bytes(400)))
     a1 = pair.a.snapshot_stats()
     per_frame = (a1.block_ops_uplink - a0.block_ops_uplink) / 100
     assert per_frame >= frame_len / 16
@@ -442,7 +443,7 @@ def test_c07_size_accounting():
             (Scheme.NAIVE, lambda L: L + 8),
         ):
             pair = EnginePair(scheme)
-            _, raw = protect(MAC_B, MAC_A, SCI_A, 1, payload=payload)
+            raw = protect(MAC_B, MAC_A, SCI_A, 1, payload=payload)
             assert len(raw) == size
             pair.lan_a(raw)
             wire = len(pair.captured[-1][2])
@@ -562,7 +563,7 @@ def _fuzz_outcomes(rng, inputs, parse, errors) -> None:
 
 def test_c10_fuzz_macsec_codec():
     rng = random.Random(111)
-    base = protect(MAC_B, MAC_A, SCI_A, 5, payload=bytes(60))[1]
+    base = protect(MAC_B, MAC_A, SCI_A, 5, payload=bytes(60))
 
     def inputs():
         for i in range(N_FUZZ):

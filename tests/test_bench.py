@@ -2,8 +2,11 @@
 
 import time
 
+import pytest
+
 from msectun import bench
 from msectun.bench import BenchResult, results_csv, run_bench, run_bench_cell
+from msectun.cli import bench_main
 from msectun.gateway import Scheme
 
 
@@ -67,3 +70,15 @@ def test_csv_output_shape():
     assert lines[0] == BenchResult.CSV_COLUMNS
     assert len(lines) == 3
     assert all(len(l.split(",")) == 12 for l in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--sizes", "10"], ["--schemes", "fullenc", "--sizes", "1450"]],
+    ids=["below-min-size", "too-large-for-scheme"],
+)
+def test_unusable_sizes_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_main(argv + ["--secs", "0.05"])
+    assert exc.value.code == 2
+    assert "error: --sizes:" in capsys.readouterr().err

@@ -13,15 +13,8 @@ from msectun.enc import (
     header_encrypt,
 )
 from msectun.flow import HeaderData
-from msectun.frame import (
-    BROADCAST_MAC,
-    PlainFrame,
-    Sci,
-    build_macsec,
-    endpoint_protect,
-    endpoint_verify,
-    parse_macsec,
-)
+from msectun.frame import BROADCAST_MAC, Sci, endpoint_verify, parse_macsec
+from msectun.pair import seal
 
 KEY = bytes(range(16))
 SCI = Sci(b"\x02\x00\x00\x00\x00\x01", 1)
@@ -29,14 +22,7 @@ DST = b"\x02\x00\x00\x00\x00\x02"
 
 
 def _protected(pn, dst=DST, payload=b"\x00" * 40, an=0):
-    f = endpoint_protect(
-        PlainFrame(dst=dst, src=SCI.system_id, ethertype=0x0800, payload=payload),
-        KEY,
-        SCI,
-        an,
-        pn,
-    )
-    return build_macsec(f)
+    return seal(KEY, dst, SCI.system_id, SCI, pn, payload, an)
 
 
 def _tunnel(pn=1, window=16, broadcast=False):
@@ -171,11 +157,7 @@ def test_no_plaintext_leak():
     tun = EncTunnel()
     send, _ = _keys()
     pn = 0xD1D2D3D4
-    f = endpoint_protect(
-        PlainFrame(dst=dst, src=sci.system_id, ethertype=0x0800, payload=bytes(60)),
-        KEY, sci, 0, pn,
-    )
-    body = tun.encode(build_macsec(f), send.current)
+    body = tun.encode(seal(KEY, dst, sci.system_id, sci, pn, bytes(60)), send.current)
     for needle in (dst, sci.system_id, sci.pack(), struct.pack(">I", pn)):
         assert needle not in body
 

@@ -239,6 +239,3 @@ def test_sensitivity_partition():
 def test_mac_helpers():
     assert fr.is_broadcast(BROADCAST_MAC)
     assert not fr.is_broadcast(b"\x02" + bytes(5))
-    assert fr.is_multicast(b"\x01\x00\x5e\x00\x00\x01")
-    assert not fr.is_multicast(b"\x02" + bytes(5))
-    assert fr.mac_str(b"\x02\xaa\x00\x00\x00\x01") == "02:aa:00:00:00:01"

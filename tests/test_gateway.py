@@ -5,11 +5,12 @@ from collections import Counter
 
 import pytest
 
-from conftest import MAC_A, MAC_B, SCI_A, SCI_B, EnginePair, protect
+from conftest import MAC_A, MAC_B, SCI_A, SCI_B, protect
 from msectun.encap import EncapScheme, encap
 from msectun.frame import BROADCAST_MAC, Sci
 from msectun.gateway import DROP_REASONS, GatewayConfig, Scheme
 from msectun.mgmt import MgmtKind, MgmtMessage, decode_message, encode_message
+from msectun.pair import EnginePair
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
@@ -18,7 +19,7 @@ def test_transparency_roundtrip(scheme):
     sent = []
     for pn in range(1, 51):
         dst = BROADCAST_MAC if pn % 7 == 0 else MAC_B
-        _, raw = protect(dst, MAC_A, SCI_A, pn)
+        raw = protect(dst, MAC_A, SCI_A, pn)
         sent.append(raw)
         pair.lan_a(raw, now=pn)
     assert pair.emitted["B"] == sent
@@ -30,11 +31,11 @@ def test_transparency_roundtrip(scheme):
 @pytest.mark.parametrize("scheme", [Scheme.IDF, Scheme.ENC])
 def test_learning_narrows_targets(scheme):
     pair = EnginePair(scheme)
-    _, raw = protect(MAC_B, MAC_A, SCI_A, 1)
+    raw = protect(MAC_B, MAC_A, SCI_A, 1)
     pair.lan_a(raw)
     entry = pair.a.uplink.get(SCI_A, 0)
     assert entry.remote_gateways == set()  # not learned yet
-    _, reply = protect(MAC_A, MAC_B, SCI_B, 1)
+    reply = protect(MAC_A, MAC_B, SCI_B, 1)
     pair.lan_b(reply)
     assert entry.remote_gateways == {"B"}
 
@@ -54,7 +55,7 @@ def test_short_garbage_dropped():
 
 def test_unsupported_shape_dropped():
     pair = EnginePair(Scheme.IDF)
-    _, raw = protect(MAC_B, MAC_A, SCI_A, 1)
+    raw = protect(MAC_B, MAC_A, SCI_A, 1)
     mutated = bytearray(raw)
     mutated[14] &= ~0x08  # clear E flag, keep everything else parseable
     # ICV no longer matters on the uplink; the gateway rejects the shape
@@ -65,7 +66,7 @@ def test_unsupported_shape_dropped():
 
 def test_zero_pn_dropped():
     pair = EnginePair(Scheme.IDF)
-    _, raw = protect(MAC_B, MAC_A, SCI_A, 1)
+    raw = protect(MAC_B, MAC_A, SCI_A, 1)
     mutated = bytearray(raw)
     mutated[16:20] = (0).to_bytes(4, "big")
     pair.lan_a(bytes(mutated))
@@ -98,18 +99,18 @@ def test_decap_garbage_rejected():
 
 def test_too_large_frame_dropped():
     pair = EnginePair(Scheme.NAIVE)
-    _, raw = protect(MAC_B, MAC_A, SCI_A, 1, payload=bytes(1480))
+    raw = protect(MAC_B, MAC_A, SCI_A, 1, payload=bytes(1480))
     pair.lan_a(raw)
     assert pair.a.snapshot_stats().drops["too_large"] == 1
 
 
 def test_unicast_dst_change_rotates_flow():
     pair = EnginePair(Scheme.IDF)
-    _, raw = protect(MAC_B, MAC_A, SCI_A, 1)
+    raw = protect(MAC_B, MAC_A, SCI_A, 1)
     pair.lan_a(raw)
     old_bidf = pair.a.uplink.get(SCI_A, 0).unicast.bidf
     other_dst = b"\x02\xcc\x00\x00\x00\x01"
-    _, raw2 = protect(other_dst, MAC_A, SCI_A, 2)
+    raw2 = protect(other_dst, MAC_A, SCI_A, 2)
     pair.lan_a(raw2)
     entry = pair.a.uplink.get(SCI_A, 0)
     assert entry.unicast.bidf != old_bidf
@@ -120,7 +121,7 @@ def test_unicast_dst_change_rotates_flow():
 
 def test_flow_expiry_propagates():
     pair = EnginePair(Scheme.IDF, flow_timeout_us=1000)
-    _, raw = protect(MAC_B, MAC_A, SCI_A, 1)
+    raw = protect(MAC_B, MAC_A, SCI_A, 1)
     pair.lan_a(raw, now=0)
     bidf = pair.a.uplink.get(SCI_A, 0).unicast.bidf
     assert bidf in pair.b.idf_downlink.flows
@@ -137,9 +138,9 @@ def test_flow_state_ends_with_its_flow(scheme):
     for i in range(n):
         mac_a, mac_b = MAC_A[:5] + bytes([i]), MAC_B[:5] + bytes([i])
         sci_a, sci_b = Sci(mac_a, 1), Sci(mac_b, 1)
-        pair.lan_a(protect(mac_b, mac_a, sci_a, 1)[1], now=0)
-        pair.lan_a(protect(BROADCAST_MAC, mac_a, sci_a, 2)[1])
-        pair.lan_b(protect(mac_a, mac_b, sci_b, 1)[1])  # the reply is learned
+        pair.lan_a(protect(mac_b, mac_a, sci_a, 1), now=0)
+        pair.lan_a(protect(BROADCAST_MAC, mac_a, sci_a, 2))
+        pair.lan_b(protect(mac_a, mac_b, sci_b, 1))  # the reply is learned
     for gw in (pair.a, pair.b):
         assert sum(f.learned for f in gw.codec.downlink.flows.values()) == n
     pair.a.on_timer(now=2000)
@@ -202,7 +203,7 @@ def test_indexes_match_full_scans(scheme):
             dst = BROADCAST_MAC if rnd.random() < 0.15 else rnd.choice(far)
             pn[src, an[src]] += 1
             pair.now += rnd.randrange(300)
-            send[side](protect(dst, src, Sci(src, 1), pn[src, an[src]], an=an[src])[1])
+            send[side](protect(dst, src, Sci(src, 1), pn[src, an[src]], an=an[src]))
         for gw in (pair.a, pair.b):
             _check_indexes(gw)
             seen["learned"] += sum(e.remote_gateways != set() for e in gw.uplink.entries())
@@ -216,7 +217,7 @@ def test_stats_monotone_and_snapshots_independent():
     pair = EnginePair(Scheme.ENC)
     snaps = []
     for pn in range(1, 20):
-        _, raw = protect(MAC_B, MAC_A, SCI_A, pn)
+        raw = protect(MAC_B, MAC_A, SCI_A, pn)
         pair.lan_a(raw)
         snaps.append(pair.a.snapshot_stats())
     for earlier, later in zip(snaps, snaps[1:]):
@@ -228,12 +229,12 @@ def test_stats_monotone_and_snapshots_independent():
 
 def test_enc_rekey_on_new_sa():
     pair = EnginePair(Scheme.ENC)
-    _, raw = protect(MAC_B, MAC_A, SCI_A, 1)
+    raw = protect(MAC_B, MAC_A, SCI_A, 1)
     pair.lan_a(raw)
     assert pair.a.codec.send_keys["B"].current.epoch == 1
     assert pair.b.codec.recv_keys["A"].current.epoch == 1
     # second SA (AN rollover) bumps the epoch again
-    _, raw2 = protect(MAC_B, MAC_A, SCI_A, 1, an=1)
+    raw2 = protect(MAC_B, MAC_A, SCI_A, 1, an=1)
     pair.lan_a(raw2)
     assert pair.a.codec.send_keys["B"].current.epoch == 2
     assert pair.emitted["B"] == [raw, raw2]
@@ -241,7 +242,7 @@ def test_enc_rekey_on_new_sa():
 
 def test_duplicate_announce_is_idempotent():
     pair = EnginePair(Scheme.IDF)
-    _, raw = protect(MAC_B, MAC_A, SCI_A, 1)
+    raw = protect(MAC_B, MAC_A, SCI_A, 1)
     pair.lan_a(raw)
     entry = pair.a.uplink.get(SCI_A, 0)
     msg = encode_message(
@@ -258,7 +259,7 @@ def test_duplicate_announce_is_idempotent():
 
 def test_learned_conflict_warns_last_writer_wins():
     pair = EnginePair(Scheme.IDF)
-    _, raw = protect(MAC_B, MAC_A, SCI_A, 1)
+    raw = protect(MAC_B, MAC_A, SCI_A, 1)
     pair.lan_a(raw)
     entry = pair.a.uplink.get(SCI_A, 0)
     pair.a.on_mgmt_message(MgmtMessage.learned(entry.unicast.bidf), "B", now=0)
@@ -315,11 +316,11 @@ def test_queue_until_announce_acked():
     real_send = pair.a.send_mgmt
     pair.a.send_mgmt = lambda p, d: (not down["flag"]) and real_send(p, d)
     for pn in range(1, 4):
-        _, raw = protect(MAC_B, MAC_A, SCI_A, pn)
+        raw = protect(MAC_B, MAC_A, SCI_A, pn)
         pair.lan_a(raw)
     assert pair.emitted["B"] == []  # nothing escaped while unannounced
     down["flag"] = False
-    _, raw4 = protect(MAC_B, MAC_A, SCI_A, 4)
+    raw4 = protect(MAC_B, MAC_A, SCI_A, 4)
     pair.lan_a(raw4)
     assert len(pair.emitted["B"]) == 4  # queue flushed in order, then new
 
@@ -331,15 +332,15 @@ def test_queued_frames_end_with_their_sa(scheme):
     real_send = pair.a.send_mgmt
     up = {"flag": False}
     pair.a.send_mgmt = lambda p, d: up["flag"] and real_send(p, d)
-    pair.lan_a(protect(MAC_B, MAC_A, SCI_A, 1)[1], now=0)
-    pair.lan_a(protect(BROADCAST_MAC, MAC_A, SCI_A, 2)[1])
+    pair.lan_a(protect(MAC_B, MAC_A, SCI_A, 1), now=0)
+    pair.lan_a(protect(BROADCAST_MAC, MAC_A, SCI_A, 2))
     pair.now = 2000
     pair.a.on_timer(pair.now)
     assert pair.a.uplink.get(SCI_A, 0) is None
     assert pair.a.snapshot_stats().drops["unregistered_queue_overflow"] == 2
 
     up["flag"] = True
-    fresh = [protect(MAC_B, MAC_A, SCI_A, pn)[1] for pn in range(1000, 1020)]
+    fresh = [protect(MAC_B, MAC_A, SCI_A, pn) for pn in range(1000, 1020)]
     for raw in fresh:
         pair.lan_a(raw)
     assert pair.emitted["B"] == fresh  # nothing queued before expiry
@@ -351,7 +352,7 @@ def test_queue_overflow_drops_oldest():
     pair = EnginePair(Scheme.IDF, queue_limit=5)
     pair.a.send_mgmt = lambda p, d: False
     for pn in range(1, 12):
-        _, raw = protect(MAC_B, MAC_A, SCI_A, pn)
+        raw = protect(MAC_B, MAC_A, SCI_A, pn)
         pair.lan_a(raw)
     assert pair.a.snapshot_stats().drops["unregistered_queue_overflow"] == 6
 
@@ -363,7 +364,7 @@ def _refuse(gw, refusing):
 
 
 def _broadcasts(pns):
-    return [protect(BROADCAST_MAC, MAC_A, SCI_A, pn)[1] for pn in pns]
+    return [protect(BROADCAST_MAC, MAC_A, SCI_A, pn) for pn in pns]
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
@@ -416,8 +417,8 @@ def test_sa_expired_before_its_announcement_leaves_no_far_flow(scheme):
     pair = EnginePair(scheme, flow_timeout_us=1000)
     refusing = {"B"}
     _refuse(pair.a, refusing)
-    pair.lan_a(protect(MAC_B, MAC_A, SCI_A, 1)[1], now=0)
-    pair.lan_a(protect(BROADCAST_MAC, MAC_A, SCI_A, 2)[1])
+    pair.lan_a(protect(MAC_B, MAC_A, SCI_A, 1), now=0)
+    pair.lan_a(protect(BROADCAST_MAC, MAC_A, SCI_A, 2))
     pair.a.on_timer(2000)
     assert pair.a.uplink.get(SCI_A, 0) is None
     refusing.clear()
@@ -440,7 +441,7 @@ def test_refusing_peer_is_owed_one_message_per_key(scheme):
         return real_send(p, d)
 
     pair.a.send_mgmt = send
-    frames = [protect(MAC_B, MAC_A, SCI_A, pn)[1] for pn in range(1, 52)]
+    frames = [protect(MAC_B, MAC_A, SCI_A, pn) for pn in range(1, 52)]
     for pn, raw in enumerate(frames[:50], 1):
         pair.lan_a(raw, now=pn * 100)
         if pn % 10 == 0:
@@ -458,12 +459,12 @@ def test_refusing_peer_is_owed_one_message_per_key(scheme):
 
 def test_broadcast_always_to_all_peers():
     pair = EnginePair(Scheme.IDF)
-    _, raw = protect(MAC_B, MAC_A, SCI_A, 1)
+    raw = protect(MAC_B, MAC_A, SCI_A, 1)
     pair.lan_a(raw)
-    _, reply = protect(MAC_A, MAC_B, SCI_B, 1)
+    reply = protect(MAC_A, MAC_B, SCI_B, 1)
     pair.lan_b(reply)  # A's flow now learned to B only
     before = pair.a.snapshot_stats().datagrams_sent
-    _, bc = protect(BROADCAST_MAC, MAC_A, SCI_A, 2)
+    bc = protect(BROADCAST_MAC, MAC_A, SCI_A, 2)
     pair.lan_a(bc)
     assert pair.a.snapshot_stats().datagrams_sent == before + 1  # one peer here
     assert pair.emitted["B"][-1] == bc
@@ -486,7 +487,7 @@ def test_mka_buffered_during_outage_and_flushed():
 
 def test_unknown_source_datagram_still_decoded():
     pair = EnginePair(Scheme.IDF)
-    _, raw = protect(MAC_B, MAC_A, SCI_A, 1)
+    raw = protect(MAC_B, MAC_A, SCI_A, 1)
     pair.lan_a(raw)
     datagram = pair.captured[-1][2]
     pair.b.on_tunnel_datagram(b"\xa5\xec\x11" + bytes(5) + bytes(40), "attacker", now=0)

@@ -17,7 +17,6 @@ from msectun.frame import (
 )
 from msectun.idf import (
     IdfDownlink,
-    UnregisteredFlow,
     derive_ridf,
     derive_ridfs,
     uplink_encode,
@@ -151,12 +150,6 @@ def test_encode_broadcast_uses_broadcast_bidf():
     ridf = struct.unpack_from(">Q", body)[0]
     assert ridf == derive_ridf(entry.broadcast.bidf, 3)
     assert ridf != derive_ridf(entry.unicast.bidf, 3)
-
-
-def test_encode_requires_registration():
-    f, _ = _protected(pn=1)
-    with pytest.raises(UnregisteredFlow):
-        uplink_encode(f, None)
 
 
 def test_wire_opacity_no_sensitive_substrings():

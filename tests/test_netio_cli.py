@@ -70,7 +70,7 @@ def test_udp_loopback_end_to_end(scheme):
     try:
         sent = []
         for pn in range(1, 31):
-            _, raw = protect(MAC_B, MAC_A, SCI_A, pn, payload=bytes(80))
+            raw = protect(MAC_B, MAC_A, SCI_A, pn, payload=bytes(80))
             sent.append(raw)
             dev_a.sendto(raw, ("127.0.0.1", ports["A"]["lan"]))
             time.sleep(0.003)

@@ -336,6 +336,18 @@ def test_scenario_from_dict():
     s = run_scenario(cfg)
     assert len(s.devices["b1"].accepted) >= 18
 
+    # every ScenarioConfig field is read; absent ones keep its defaults
+    lans = {"A": ["a1"], "B": ["b1"]}
+    cfg = scenario_from_dict(
+        {"lans": lans, "flow_timeout_us": 1000, "timer_interval_us": 500,
+         "naive_pn_reconstruction": True}
+    )
+    assert (cfg.flow_timeout_us, cfg.timer_interval_us) == (1000, 500)
+    assert cfg.naive_pn_reconstruction
+    assert scenario_from_dict({"lans": lans}) == ScenarioConfig(lans=lans)
+    with pytest.raises(ConfigInvalid, match="typo_key"):
+        scenario_from_dict({"lans": lans, "typo_key": 1})
+
 
 def test_transcript_csv_shape():
     s = run_scenario(_basic_cfg())
