@@ -65,22 +65,30 @@ def _protect_series(sci: Sci, dst: bytes, key: bytes, frame_size: int, start_pn:
     return [seal(key, dst, sci.system_id, sci, pn, payload) for pn in range(start_pn, start_pn + n)]
 
 
+_KEY = bytes(range(16))
+_SCI = Sci(b"\x02\x00\x00\x00\x00\x0a", 1)
+_DST = b"\x02\x00\x00\x00\x00\x0b"
+
+
+def _warm_pair(scheme: Scheme, frame_size: int, window: int) -> EnginePair:
+    """A fresh gateway pair after 8 frames that establish the flow, learn
+    the peer and fill the window.  Raises ValueError for a size the
+    scheme cannot carry."""
+    pair = EnginePair(scheme, window)
+    for raw in _protect_series(_SCI, _DST, _KEY, frame_size, 1, 8):
+        pair.lan_a(raw)
+    if not pair.emitted["B"]:
+        drops = dict(pair.a.stats.drops + pair.b.stats.drops)
+        raise ValueError(f"{scheme.value} delivers no {frame_size}-byte frame (drops: {drops})")
+    return pair
+
+
 def run_bench_cell(scheme: Scheme, frame_size: int, seconds: float, window: int = 64) -> BenchResult:
     """One (scheme, size) measurement over a fresh gateway pair.
 
     Raises ValueError for a size the scheme cannot carry."""
-    pair = EnginePair(scheme, window)
-    key = bytes(range(16))
-    sci = Sci(b"\x02\x00\x00\x00\x00\x0a", 1)
-    dst = b"\x02\x00\x00\x00\x00\x0b"
+    pair = _warm_pair(scheme, frame_size, window)
     delivered = pair.emitted["B"]
-
-    # warm up: establish the flow, learn the peer, fill the window
-    for raw in _protect_series(sci, dst, key, frame_size, 1, 8):
-        pair.lan_a(raw)
-    if not delivered:
-        drops = dict(pair.a.stats.drops + pair.b.stats.drops)
-        raise ValueError(f"{scheme.value} delivers no {frame_size}-byte frame (drops: {drops})")
     wire_size = len(pair.captured[-1][2])
     a0 = pair.a.snapshot_stats()
     b0 = pair.b.snapshot_stats()
@@ -95,7 +103,7 @@ def run_bench_cell(scheme: Scheme, frame_size: int, seconds: float, window: int 
         # keep only this batch's deliveries and datagrams
         delivered.clear()
         pair.captured.clear()
-        series = _protect_series(sci, dst, key, frame_size, pn, batch)
+        series = _protect_series(_SCI, _DST, _KEY, frame_size, pn, batch)
         pn += batch
         for raw in series:
             t0 = time.perf_counter_ns()
@@ -150,11 +158,11 @@ def run_bench(
 ) -> list[BenchResult]:
     """Sweep schemes x sizes; ``seconds`` is the budget per size row,
     split evenly across the schemes.  Zero duration gives no results."""
-    results = []
     if seconds <= 0:
-        return results
+        return []
+    cells = [(scheme, size) for size in sizes for scheme in schemes]
+    # a size some scheme cannot carry fails before any cell is timed
+    for scheme, size in cells:
+        _warm_pair(scheme, size, window)
     per_cell = seconds / len(schemes)
-    for size in sizes:
-        for scheme in schemes:
-            results.append(run_bench_cell(scheme, size, per_cell, window))
-    return results
+    return [run_bench_cell(scheme, size, per_cell, window) for scheme, size in cells]

@@ -95,7 +95,12 @@ def bench_main(argv=None) -> int:
     parser.add_argument("--out", default="-", help="CSV output path ('-' = stdout)")
     args = parser.parse_args(argv)
 
-    schemes = [Scheme(s.strip()) for s in args.schemes.split(",") if s.strip()]
+    try:
+        schemes = [Scheme(s.strip()) for s in args.schemes.split(",") if s.strip()]
+    except ValueError as e:
+        parser.error(f"--schemes: {e}")
+    if not schemes:
+        parser.error("--schemes: no scheme given")
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
         results = run_bench(schemes, sizes, args.secs, args.window)

@@ -31,7 +31,6 @@ from .flow import (
     DecodeResult,
     DownlinkFlowEntry,
     DownlinkFlows,
-    FlowKey,
     HeaderData,
     Sci,
     WindowStatus,
@@ -118,16 +117,15 @@ def header_decrypt(c1: bytes, c2: bytes, cipher: Aes128) -> tuple[bytes, bytes]:
 class EncTunnel(DownlinkFlows):
     """Uplink encoder and downlink decoder plus flow state.
 
-    The core table keys flows by base identifier; decode finds them by
-    flow key in ``by_key``, since the decrypted header fields must hit a
-    registered entry and pass its replay window before a frame is
-    released.  A flow re-announced under a new base identifier keeps
-    its entry and window.
+    The core table keys flows by base identifier; decode finds a flow by
+    the decrypted SCI, AN and destination in the core's per-SA index,
+    since the header fields must hit a registered entry and pass its
+    replay window before a frame is released.  An announcement finds its
+    flow the same way, so a re-announced flow keeps its entry and window.
     """
 
     def __init__(self, window_size: int = DEFAULT_WINDOW):
         super().__init__(window_size)
-        self.by_key: dict[FlowKey, DownlinkFlowEntry] = {}
         self.block_ops_uplink = 0
         self.block_ops_downlink = 0
 
@@ -143,14 +141,14 @@ class EncTunnel(DownlinkFlows):
 
     # -- announcements -------------------------------------------------------
 
+    def _flow(self, sci: Sci, an: int, dst: bytes) -> Optional[DownlinkFlowEntry]:
+        for entry in self._by_sa.get((sci, an), ()):
+            if entry.header.dst == dst:
+                return entry
+        return None
+
     def _find(self, bidf: bytes, header: HeaderData) -> Optional[DownlinkFlowEntry]:
-        return self.by_key.get(header.key())
-
-    def _added(self, entry: DownlinkFlowEntry) -> None:
-        self.by_key[entry.header.key()] = entry
-
-    def _forget(self, entry: DownlinkFlowEntry) -> None:
-        del self.by_key[entry.header.key()]
+        return self._flow(header.sci, header.an, header.dst)
 
     # bound on this class, not only inherited, so that each scheme's
     # table upkeep can be timed apart (perfbench/tracing.py)
@@ -173,8 +171,7 @@ class EncTunnel(DownlinkFlows):
             return DecodeResult(reason=REASON_HEADER_MISMATCH)
         an = p1[14] & 0x03
         pn = struct.unpack_from(">I", p2)[0]
-        fkey = FlowKey(sci=Sci.unpack(p2[4:12]), an=an, dst=p1[0:6])
-        entry = self.by_key.get(fkey)
+        entry = self._flow(Sci.unpack(p2[4:12]), an, p1[0:6])
         if entry is None:
             return DecodeResult(reason=REASON_UNKNOWN_FLOW)
         if entry.header.src != p1[6:12]:

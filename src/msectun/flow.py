@@ -165,9 +165,6 @@ class HeaderData:
     sci: Sci
     an: int
 
-    def key(self) -> FlowKey:
-        return FlowKey(sci=self.sci, an=self.an, dst=self.dst)
-
     def pack(self) -> bytes:
         return self.dst + self.src + self.sci.pack() + bytes([self.an])
 
@@ -183,6 +180,7 @@ class HeaderData:
 
 @dataclass
 class DownlinkFlowEntry:
+    # compare entries with ``is``: ``==`` can recurse through ``bound``
     bidf: bytes
     header: HeaderData
     window: Optional[ReplayWindow] = None
@@ -205,13 +203,6 @@ class DecodeResult:
     @property
     def ok(self) -> bool:
         return self.frame is not None
-
-
-@dataclass
-class IdentifierEntry:
-    ridf: int
-    pn: int
-    flow: DownlinkFlowEntry
 
 
 def bind(a: DownlinkFlowEntry, b: DownlinkFlowEntry) -> ReplayWindow:
@@ -254,15 +245,19 @@ class DownlinkFlows:
     re-announcement carries a newer PN (the sender restarted), and binds
     the flow to the opposite-cast flow of the same SA.  ``remove`` undoes
     all of it, so no index outlives its flow.  ``addressed`` finds flows
-    by header addresses, for flow learning.  A scheme that finds flows
-    by another key overrides ``_find``, ``_added`` and ``_forget``; one
-    that keeps state per window position overrides ``_refill`` and
-    ``_forget``.  Single-writer: one gateway pipeline owns the instance.
+    by header addresses, for flow learning.  The indexes ``_by_sa`` and
+    ``_by_addr`` list the entries of ``flows``; a scheme reads them
+    rather than keeping a copy.  A scheme that finds a re-announced
+    flow by another key overrides ``_find``; one that keeps state per
+    window position overrides ``_refill`` and ``_forget``.  Single-writer:
+    one gateway pipeline owns the instance.
     """
+
+    # a subclass may clear it to show what unbound windows do
+    bind_flows = True
 
     def __init__(self, window_size: int = DEFAULT_WINDOW):
         self.window_size = window_size
-        self.bind_flows = True
         self.flows: dict[bytes, DownlinkFlowEntry] = {}
         self._by_sa: dict[tuple[Sci, int], list[DownlinkFlowEntry]] = {}
         # (header dst, header src) -> flows, in ``flows`` order
@@ -273,9 +268,6 @@ class DownlinkFlows:
     def _find(self, bidf: bytes, header: HeaderData) -> Optional[DownlinkFlowEntry]:
         """The flow an announcement refers to, if it is known already."""
         return self.flows.get(bidf)
-
-    def _added(self, entry: DownlinkFlowEntry) -> None:
-        """A new flow entered the table."""
 
     def _forget(self, entry: DownlinkFlowEntry) -> None:
         """A flow left the table."""
@@ -322,7 +314,6 @@ class DownlinkFlows:
         )
         self.flows[bidf] = entry
         self._by_addr.setdefault((header.dst, header.src), []).append(entry)
-        self._added(entry)
         same_sa = self._by_sa.setdefault((header.sci, header.an), [])
         if self.bind_flows:
             for other in same_sa:

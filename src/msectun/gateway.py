@@ -83,7 +83,6 @@ class GatewayConfig:
     # shared secret per peer for the encrypting schemes; directional
     # keys are derived from it
     pair_secrets: dict[str, bytes] = field(default_factory=dict)
-    bind_flows: bool = True
     peer_filter: bool = False
 
     def __post_init__(self):
@@ -193,7 +192,6 @@ class SchemeCodec:
 
     def __init__(self, config: GatewayConfig, rand_bytes: Callable[[int], bytes]):
         self.downlink = self.table(config.window)
-        self.downlink.bind_flows = config.bind_flows
 
     def encode(self, frame: MacsecFrame, raw: bytes, entry: UplinkFlowEntry, targets):
         return ((raw, targets),)
@@ -471,10 +469,10 @@ class GatewayEngine:
             cast.announced = True
             cast.pending = []
             for queued, raw in pending:
-                self._tunnel_frame(queued, raw, entry, broadcast, now)
+                self._tunnel_frame(queued, raw, entry, broadcast)
             self._learn_from_uplink(frame)
         else:
-            self._tunnel_frame(frame, data, entry, broadcast, now)
+            self._tunnel_frame(frame, data, entry, broadcast)
 
     def _shed_pending(self, cast: UplinkCast) -> None:
         """Count the queued frames of a flow that ends unannounced."""
@@ -487,7 +485,6 @@ class GatewayEngine:
         raw: bytes,
         entry: UplinkFlowEntry,
         broadcast: bool,
-        now: int,
     ) -> None:
         cfg = self.config
         if broadcast or not entry.remote_gateways:
@@ -515,7 +512,6 @@ class GatewayEngine:
             sent_any |= self._send_body(body, peers)
         if sent_any:
             self.stats.frames_tunneled += 1
-            entry.timeout = now + cfg.flow_timeout_us
 
     def _send_body(self, body: bytes, targets: list[str]) -> bool:
         try:

@@ -23,7 +23,6 @@ from .flow import (
     DownlinkFlowEntry,
     DownlinkFlows,
     HeaderData,
-    IdentifierEntry,
     UplinkFlowEntry,
     WindowStatus,
 )
@@ -79,7 +78,8 @@ class IdfDownlink(DownlinkFlows):
     """Downlink flow and identifier tables plus the decode path.
 
     Flows are keyed by base identifier, as in the core table.  The
-    identifier table always holds every PN covered by each flow's
+    identifier table ``ids`` maps each rotating identifier to its
+    ``(flow, pn)``, and always holds every PN covered by each flow's
     window; the window tells consumed PNs apart, so replays stay
     classifiable until they slide out of the covered range.
 
@@ -92,13 +92,9 @@ class IdfDownlink(DownlinkFlows):
 
     def __init__(self, window_size: int = DEFAULT_WINDOW):
         super().__init__(window_size)
-        self.ids: dict[int, IdentifierEntry] = {}
+        self.ids: dict[int, tuple[DownlinkFlowEntry, int]] = {}
         self.hash_calls = 0
         self.ridf_collisions = 0
-        # test hook: reconstruct the PN by counting instead of from the
-        # identifier entry, reproducing the failure mode that rotating
-        # identifiers and flow binding exist to prevent
-        self.naive_pn_reconstruction = False
 
     # -- table maintenance -------------------------------------------------
 
@@ -106,18 +102,18 @@ class IdfDownlink(DownlinkFlows):
         # every derived identifier comes here once: count its hash
         self.hash_calls += 1
         existing = self.ids.get(ridf)
-        if existing is not None and (existing.flow is not flow or existing.pn != pn):
+        if existing is not None and (existing[0] is not flow or existing[1] != pn):
             # cross-flow collision: keep the older entry, count the event
             self.ridf_collisions += 1
             return
-        self.ids[ridf] = IdentifierEntry(ridf=ridf, pn=pn, flow=flow)
+        self.ids[ridf] = (flow, pn)
         flow.ids[pn] = ridf
 
     def _drop_id(self, flow: DownlinkFlowEntry, pn: int) -> None:
         ridf = flow.ids.pop(pn, None)
         if ridf is not None:
             ent = self.ids.get(ridf)
-            if ent is not None and ent.flow is flow:
+            if ent is not None and ent[0] is flow:
                 del self.ids[ridf]
 
     def _find(self, bidf: bytes, header: HeaderData) -> Optional[DownlinkFlowEntry]:
@@ -163,16 +159,15 @@ class IdfDownlink(DownlinkFlows):
         ident = self.ids.get(ridf)
         if ident is None:
             return DecodeResult(reason=REASON_UNKNOWN_IDENTIFIER)
-        flow = ident.flow
-        if flow.window.is_seen(ident.pn):
+        flow, pn = ident
+        window = flow.window
+        if window.is_seen(pn):
             return DecodeResult(reason=REASON_REPLAY)
         if tci_flags & 0x03:
             # AN bits travel in the flow state, never on the wire
             return DecodeResult(reason=REASON_MALFORMED)
-        pn = flow.window.lowest_unseen() if self.naive_pn_reconstruction else ident.pn
-        window = flow.window
         old_floor, old_top = window.floor, window.top
-        status = window.accept(ident.pn)
+        status = window.accept(pn)
         if status is not WindowStatus.ACCEPT:
             return DecodeResult(reason=status.value)
         flows = (flow,) if flow.bound is None else (flow, flow.bound)
@@ -204,8 +199,8 @@ class IdfDownlink(DownlinkFlows):
             # entries may be missing only through cross-flow collisions
             assert len(missing) <= self.ridf_collisions
             for pn, ridf in flow.ids.items():
-                ent = self.ids[ridf]
-                assert ent.flow is flow and ent.pn == pn
+                owner, owned_pn = self.ids[ridf]
+                assert owner is flow and owned_pn == pn
                 assert ridf == derive_ridf(flow.bidf, pn)
                 owned += 1
         assert owned == len(self.ids), "orphan identifier entries"

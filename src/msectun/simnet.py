@@ -328,8 +328,6 @@ class ScenarioConfig:
     duration_us: int = 10_000_000
     window: int = 64
     an_ceiling: int = 1 << 16
-    bind_flows: bool = True
-    naive_pn_reconstruction: bool = False
     timer_interval_us: int = 1_000_000
     flow_timeout_us: int = 60_000_000
 
@@ -389,13 +387,9 @@ class Scenario:
                 scheme=cfg.scheme,
                 window=cfg.window,
                 pair_secrets=secrets,
-                bind_flows=cfg.bind_flows,
                 flow_timeout_us=cfg.flow_timeout_us,
             )
-            engine = self._wire_gateway(gcfg, self.lans[lan_name])
-            if cfg.naive_pn_reconstruction and engine.idf_downlink is not None:
-                engine.idf_downlink.naive_pn_reconstruction = True
-            self.gateways[own] = engine
+            self.gateways[own] = self._wire_gateway(gcfg, self.lans[lan_name])
 
         self._schedule_traffic()
         for gw in self.gateways.values():
@@ -478,18 +472,24 @@ def run_scenario(cfg: ScenarioConfig, attacker: Optional[Attacker] = None) -> Sc
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Build a config from a plain dict (e.g. a parsed JSON file).
 
-    Keys are ``ScenarioConfig`` field names; an absent key takes the
-    field's default and an unknown one raises ``ConfigInvalid``.
+    Keys are field names of ``ScenarioConfig``, of ``NetModel`` in ``net``
+    and of ``TrafficSpec`` in each ``traffic`` entry; an absent key takes
+    the field's default and an unknown one raises ``ConfigInvalid``.
     """
-    unknown = set(data) - {f.name for f in fields(ScenarioConfig)}
-    if unknown:
-        raise ConfigInvalid(f"unknown scenario keys: {', '.join(sorted(unknown))}")
     converted = {
         "scheme": Scheme(data.get("scheme", ScenarioConfig.scheme)),
-        "net": NetModel(**data.get("net", {})),
-        "traffic": [TrafficSpec(**t) for t in data.get("traffic", [])],
+        "net": _build(NetModel, data.get("net", {}), "net"),
+        "traffic": [_build(TrafficSpec, t, "traffic") for t in data.get("traffic", [])],
     }
-    return ScenarioConfig(**(data | converted))
+    return _build(ScenarioConfig, data | converted, "scenario")
+
+
+def _build(cls, data: dict, what: str):
+    """``cls(**data)``, once every key of ``data`` names a field of ``cls``."""
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigInvalid(f"unknown {what} keys: {', '.join(sorted(unknown))}")
+    return cls(**data)
 
 
 def load_scenario(path: str) -> ScenarioConfig:

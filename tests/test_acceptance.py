@@ -12,12 +12,14 @@ import pytest
 
 from conftest import KEY, MAC_A, MAC_B, SCI_A, protect
 from test_flow import NaiveWindow
+from test_idf import CountingIdfDownlink, UnboundIdfDownlink
 from test_siphash import VECTORS as SIPHASH_VECTORS
 
 from msectun.aes import Aes128
 from msectun.bench import run_bench
 from msectun.encap import EncapScheme, encap
 from msectun.flow import PN_MAX, ReplayWindow
+from msectun.idf import IdfDownlink
 from msectun.frame import (
     FrameError,
     IcvMismatch,
@@ -25,7 +27,7 @@ from msectun.frame import (
     endpoint_verify,
     parse_macsec,
 )
-from msectun.gateway import Scheme
+from msectun.gateway import IdfCodec, Scheme
 from msectun.mgmt import MgmtError, MgmtMessage, decode_message, encode_message
 from msectun.pair import EnginePair
 from msectun.siphash import siphash24_digest
@@ -165,8 +167,9 @@ def test_c03_window_oracle_equivalence():
 # ---------------------------------------------------------------------------
 
 
-def _binding_scenario(bind_flows: bool, naive_recon: bool, window: int = 64,
+def _binding_scenario(table: type[IdfDownlink], window: int = 64,
                       broadcast_interval: int = 80, broadcast_count: int = 300) -> Scenario:
+    """The C4 traffic, with each gateway's identifier tables of class ``table``."""
     cfg = ScenarioConfig(
         lans={"A": ["a1"], "B": ["b1"], "C": ["c1"]},
         scheme=Scheme.IDF,
@@ -178,16 +181,16 @@ def _binding_scenario(bind_flows: bool, naive_recon: bool, window: int = 64,
         ],
         duration_us=2_000_000,
         window=window,
-        bind_flows=bind_flows,
-        naive_pn_reconstruction=naive_recon,
     )
-    return run_scenario(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(IdfCodec, "table", table)
+        return run_scenario(cfg)
 
 
 def test_c04_flow_binding():
     # bound flows: every delivered frame carries the right PN (device
     # ICV verifies), nothing is dropped
-    s = _binding_scenario(bind_flows=True, naive_recon=False)
+    s = _binding_scenario(IdfDownlink)
     total_icv_fail = sum(d.icv_failures for d in s.devices.values())
     assert total_icv_fail == 0
     assert len(s.devices["b1"].accepted) == 900
@@ -198,7 +201,7 @@ def test_c04_flow_binding():
     # the failure the binding prevents: with binding off and the
     # counting-based reconstruction the design replaces, delivered
     # frames carry stale PNs and fail the device integrity check
-    s_bad = _binding_scenario(bind_flows=False, naive_recon=True)
+    s_bad = _binding_scenario(CountingIdfDownlink)
     bad_icv = sum(d.icv_failures for d in s_bad.devices.values())
     assert bad_icv >= 1, "disabling binding must reproduce the wrong-PN failure"
 
@@ -206,7 +209,7 @@ def test_c04_flow_binding():
     # into drops instead of corrupt deliveries once the interleave gap
     # outgrows the window
     s_drop = _binding_scenario(
-        bind_flows=False, naive_recon=False,
+        UnboundIdfDownlink,
         window=16, broadcast_interval=4000, broadcast_count=6,
     )
     assert sum(d.icv_failures for d in s_drop.devices.values()) == 0
@@ -214,7 +217,7 @@ def test_c04_flow_binding():
     assert drops >= 1
     # and the identical pattern with binding on loses nothing
     s_ok = _binding_scenario(
-        bind_flows=True, naive_recon=False,
+        IdfDownlink,
         window=16, broadcast_interval=4000, broadcast_count=6,
     )
     assert sum(gw.snapshot_stats().dropped() for gw in s_ok.gateways.values()) == 0

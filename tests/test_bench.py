@@ -73,12 +73,31 @@ def test_csv_output_shape():
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["--sizes", "10"], ["--schemes", "fullenc", "--sizes", "1450"]],
-    ids=["below-min-size", "too-large-for-scheme"],
+    "argv, message",
+    [
+        (["--sizes", "10"], "error: --sizes:"),
+        (["--schemes", "fullenc", "--sizes", "1450"], "error: --sizes:"),
+        (["--schemes", "foo"], "error: --schemes: 'foo'"),
+        (["--schemes", ","], "error: --schemes: no scheme given"),
+    ],
+    ids=["below-min-size", "too-large-for-scheme", "unknown-scheme", "no-scheme"],
 )
-def test_unusable_sizes_are_usage_errors(argv, capsys):
+def test_unusable_sizes_are_usage_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         bench_main(argv + ["--secs", "0.05"])
     assert exc.value.code == 2
-    assert "error: --sizes:" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def test_unusable_size_fails_before_timing(capsys):
+    """Every cell is warmed up before any is timed, so a size one scheme
+    cannot carry ends the run at once, with no partial table."""
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        bench_main(["--schemes", "naive,fullenc", "--sizes", "50,1449", "--secs", "6"])
+    wall = time.perf_counter() - t0
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: --sizes: fullenc delivers no 1449-byte frame" in err
+    assert wall < 3

@@ -5,7 +5,7 @@ import struct
 
 import pytest
 
-from msectun.flow import PN_MAX, HeaderData, UplinkCast, UplinkFlowEntry, new_bidf
+from msectun.flow import PN_MAX, DecodeResult, HeaderData, UplinkCast, UplinkFlowEntry, new_bidf
 from msectun.frame import (
     BROADCAST_MAC,
     PlainFrame,
@@ -26,6 +26,30 @@ from msectun.siphash import siphash24
 KEY = bytes(range(16))
 SCI = Sci(b"\x02\x00\x00\x00\x00\x01", 1)
 DST = b"\x02\x00\x00\x00\x00\x02"
+
+
+class UnboundIdfDownlink(IdfDownlink):
+    """Identifier tables that never bind a unicast and a broadcast flow."""
+
+    bind_flows = False
+
+
+class CountingIdfDownlink(UnboundIdfDownlink):
+    """Unbound tables that rebuild each frame with a counted PN.
+
+    The rebuilt frame carries the flow's lowest unseen PN instead of the
+    one its identifier was derived from: the failure that rotating
+    identifiers and flow binding exist to prevent.
+    """
+
+    def decode(self, body: bytes) -> DecodeResult:
+        ident = self.ids.get(int.from_bytes(body[:8], "big"))
+        counted = None if ident is None else ident[0].window.lowest_unseen()
+        res = super().decode(body)
+        if not res.ok:
+            return res
+        # the PN sits at bytes 16..19: dst(6) src(6) ethertype(2) tci(1) sl(1)
+        return DecodeResult(frame=res.frame[:16] + struct.pack(">I", counted) + res.frame[20:])
 
 
 def _uplink_entry(rng=None, an=0):
@@ -264,8 +288,7 @@ def test_bound_flows_share_pn_and_reconstruct():
 
 def test_unbound_broadcast_window_stalls():
     entry = _uplink_entry()
-    dn = IdfDownlink(window_size=4)
-    dn.bind_flows = False
+    dn = UnboundIdfDownlink(window_size=4)
     dn.register(entry.unicast.bidf, HeaderData(DST, SCI.system_id, SCI, 0), 1)
     dn.register(entry.broadcast.bidf, HeaderData(BROADCAST_MAC, SCI.system_id, SCI, 0), 1)
     # unicast consumes pns 1..20; broadcast window never advances
@@ -280,9 +303,7 @@ def test_unbound_broadcast_window_stalls():
 def test_naive_pn_reconstruction_hook_reproduces_wrong_pn():
     """Counting-based reconstruction delivers frames with stale PNs."""
     entry = _uplink_entry()
-    dn = IdfDownlink(window_size=8)
-    dn.bind_flows = False
-    dn.naive_pn_reconstruction = True
+    dn = CountingIdfDownlink(window_size=8)
     dn.register(entry.unicast.bidf, HeaderData(DST, SCI.system_id, SCI, 0), 1)
     dn.register(entry.broadcast.bidf, HeaderData(BROADCAST_MAC, SCI.system_id, SCI, 0), 1)
     # pn 1 goes out as unicast, pn 2 as broadcast: the broadcast flow's
@@ -345,7 +366,7 @@ def test_batched_refill_keeps_older_entry_on_collision(monkeypatch):
     assert dn.ridf_collisions == 4 and dn.hash_calls == 16
     assert sorted(first.ids) == list(range(1, 9))
     assert sorted(second.ids) == list(range(9, 13))
-    assert all(dn.ids[pn].flow is first for pn in range(5, 9))
+    assert all(dn.ids[pn][0] is first for pn in range(5, 9))
     dn.audit()
 
 

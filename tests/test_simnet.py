@@ -339,14 +339,22 @@ def test_scenario_from_dict():
     # every ScenarioConfig field is read; absent ones keep its defaults
     lans = {"A": ["a1"], "B": ["b1"]}
     cfg = scenario_from_dict(
-        {"lans": lans, "flow_timeout_us": 1000, "timer_interval_us": 500,
-         "naive_pn_reconstruction": True}
+        {"lans": lans, "flow_timeout_us": 1000, "timer_interval_us": 500, "an_ceiling": 9}
     )
-    assert (cfg.flow_timeout_us, cfg.timer_interval_us) == (1000, 500)
-    assert cfg.naive_pn_reconstruction
+    assert (cfg.flow_timeout_us, cfg.timer_interval_us, cfg.an_ceiling) == (1000, 500, 9)
     assert scenario_from_dict({"lans": lans}) == ScenarioConfig(lans=lans)
-    with pytest.raises(ConfigInvalid, match="typo_key"):
-        scenario_from_dict({"lans": lans, "typo_key": 1})
+    # an unknown key is named, at the top level and inside net or traffic
+    traffic = {"device": "a1", "dst": "b1"}
+    for bad, key in (
+        ({"typo_key": 1}, "typo_key"),
+        ({"net": {"sed": 1}}, "sed"),
+        ({"traffic": [traffic, traffic | {"cnt": 3}]}, "cnt"),
+        # demonstration switches are test doubles, not scenario keys
+        ({"bind_flows": False}, "bind_flows"),
+        ({"naive_pn_reconstruction": True}, "naive_pn_reconstruction"),
+    ):
+        with pytest.raises(ConfigInvalid, match=key):
+            scenario_from_dict({"lans": lans} | bad)
 
 
 def test_transcript_csv_shape():
