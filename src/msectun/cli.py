@@ -101,6 +101,8 @@ def bench_main(argv=None) -> int:
         parser.error(f"--schemes: {e}")
     if not schemes:
         parser.error("--schemes: no scheme given")
+    if args.window < 1:
+        parser.error("--window: window size must be >= 1")
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
         results = run_bench(schemes, sizes, args.secs, args.window)

@@ -148,7 +148,7 @@ class UplinkFlowEntry:
     unicast: UplinkCast
     broadcast: UplinkCast
     timeout: int
-    remote_gateways: set[str] = field(default_factory=set)
+    remote_gateway: Optional[str] = None
     # operational extras, not part of the table contract
     unicast_dst: Optional[bytes] = None
 

@@ -16,7 +16,7 @@ import hashlib
 import logging
 import random
 import secrets as _secrets
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
@@ -46,9 +46,8 @@ DROP_REASONS = tuple(
     sorted(
         {
             "decap_error", "mgmt_malformed", "mka_buffer_overflow", "not_macsec",
-            "parse_error", "peer_filtered", "scheme_mismatch", "too_large",
-            "too_short_for_scheme", "unknown_peer", "unregistered_queue_overflow",
-            "unsupported_shape", "zero_pn",
+            "parse_error", "scheme_mismatch", "too_large", "too_short_for_scheme",
+            "unknown_peer", "unregistered_queue_overflow", "unsupported_shape", "zero_pn",
         }
         | {
             value
@@ -59,6 +58,12 @@ DROP_REASONS = tuple(
     )
 )
 WARNING_REASONS = ("learned_conflict", "unicast_dst_change")
+
+# frames of one flow that wait for its announcement; the oldest is shed
+QUEUE_LIMIT = 128
+# key-agreement frames held per peer while its management channel refuses
+MKA_SLOTS = 16
+HELLO_INTERVAL_US = 5_000_000
 
 
 class Scheme(enum.Enum):
@@ -75,15 +80,10 @@ class GatewayConfig:
     scheme: Scheme = Scheme.IDF
     window: int = DEFAULT_WINDOW
     flow_timeout_us: int = DEFAULT_FLOW_TIMEOUT_US
-    queue_limit: int = 128
-    mka_buffer: int = 16
     mtu: int = encap.DEFAULT_MTU
-    grace_us: int = 2_000_000
-    hello_interval_us: int = 5_000_000
     # shared secret per peer for the encrypting schemes; directional
     # keys are derived from it
     pair_secrets: dict[str, bytes] = field(default_factory=dict)
-    peer_filter: bool = False
 
     def __post_init__(self):
         if isinstance(self.scheme, str):
@@ -92,11 +92,8 @@ class GatewayConfig:
             raise ValueError("a gateway needs at least one peer")
         if self.own_id in self.peers:
             raise ValueError("own id listed as peer")
-        if self.queue_limit < 1:
-            # a flow's first frame waits for its announcement
-            raise ValueError("queue_limit must be >= 1")
-        if self.mka_buffer < 1:
-            raise ValueError("mka_buffer must be >= 1")
+        if self.window < 1:
+            raise ValueError("window size must be >= 1")
 
 
 @dataclass
@@ -154,36 +151,42 @@ def _default_pair_secret(a: str, b: str) -> bytes:
     return hashlib.sha256(f"msectun-lab|{lo}|{hi}".encode()).digest()
 
 
-def _pair_secrets(config: GatewayConfig):
-    """(peer, shared secret) for every configured peer, in order."""
-    for peer in config.peers:
-        yield peer, config.pair_secrets.get(peer) or _default_pair_secret(
-            config.own_id, peer
-        )
+@dataclass(eq=False)
+class Peer:
+    """One configured peer: the scheme's state for each direction, the
+    management messages it has not taken yet and when its last HELLO came."""
+
+    name: str
+    send: object
+    recv: object
+    outbox: dict[tuple, mgmt.MgmtMessage] = field(default_factory=dict)
+    last_hello: Optional[int] = None
 
 
 class SchemeCodec:
     """One scheme's wire codec; this base class is the naive passthrough.
 
     The gateway builds one codec for its configured scheme and never
-    asks which scheme it runs.  The codec owns all of that scheme's
-    state, per-peer keys included, and provides:
+    asks which scheme it runs.  Each ``peer`` below is a ``Peer`` record,
+    which holds the codec's state for that peer.  It provides:
 
     - ``tag``: the carrier scheme byte of its datagrams
     - ``downlink``: its downlink flow table, a ``flow.DownlinkFlows``;
       announcements register into it and expiries remove from it
+    - ``peer_state(own, name, secret)``: the (send, recv) state of one
+      peer, from the secret the two gateways share
     - ``encode(frame, raw, entry, targets)``: the (body, peers) pairs
       to send for one LAN frame, or None if the frame is too short for
       the scheme
-    - ``decode(body, from_peer, now)``: a ``DecodeResult``, the frame
-      or a drop reason
+    - ``decode(body, peer, now)``: a ``DecodeResult``, the frame or a
+      drop reason
     - ``needs_announce``: whether ``decode`` needs the flow's
       announcement, so a peer still owed it is sent none of its datagrams
-    - ``on_new_sa(now)``: the (peer, management message) pairs a new
-      uplink SA calls for
-    - ``on_rekey(msg, from_peer, now)``: take a peer's key rotation
-    - ``counters()``: its crypto-operation counters by ``GatewayStats``
-      field name
+    - ``on_new_sa(peers, now)``: the (peer, management message) pairs a
+      new uplink SA calls for
+    - ``on_rekey(msg, peer, now)``: take a peer's key rotation
+    - ``counters(peers)``: its crypto-operation counters by
+      ``GatewayStats`` field name
     """
 
     tag = encap.EncapScheme.NAIVE
@@ -193,21 +196,24 @@ class SchemeCodec:
     def __init__(self, config: GatewayConfig, rand_bytes: Callable[[int], bytes]):
         self.downlink = self.table(config.window)
 
+    def peer_state(self, own: str, name: str, secret: bytes) -> tuple:
+        return None, None
+
     def encode(self, frame: MacsecFrame, raw: bytes, entry: UplinkFlowEntry, targets):
         return ((raw, targets),)
 
-    def decode(self, body: bytes, from_peer: str, now: int) -> DecodeResult:
+    def decode(self, body: bytes, peer: Peer, now: int) -> DecodeResult:
         if len(body) < fr.MIN_FRAME_LEN:
             return DecodeResult(reason="malformed")
         return DecodeResult(frame=body)
 
-    def on_new_sa(self, now: int):
+    def on_new_sa(self, peers, now: int):
         return ()
 
-    def on_rekey(self, msg: mgmt.MgmtMessage, from_peer: str, now: int) -> None:
+    def on_rekey(self, msg: mgmt.MgmtMessage, peer: Peer, now: int) -> None:
         pass
 
-    def counters(self) -> dict:
+    def counters(self, peers) -> dict:
         return {}
 
 
@@ -225,10 +231,10 @@ class IdfCodec(SchemeCodec):
         self.hash_calls_uplink += 1
         return ((body, targets),)
 
-    def decode(self, body, from_peer, now):
+    def decode(self, body, peer, now):
         return self.downlink.decode(body)
 
-    def counters(self):
+    def counters(self, peers):
         return {
             "hash_calls_uplink": self.hash_calls_uplink,
             "hash_calls_downlink": self.downlink.hash_calls,
@@ -244,42 +250,34 @@ class EncCodec(SchemeCodec):
     def __init__(self, config: GatewayConfig, rand_bytes: Callable[[int], bytes]):
         super().__init__(config, rand_bytes)
         self._rand_bytes = rand_bytes
-        self.send_keys: dict[str, PairKeys] = {}
-        self.recv_keys: dict[str, PairKeys] = {}
-        for peer, secret in _pair_secrets(config):
-            self.send_keys[peer] = PairKeys(
-                _directional_key(secret, config.own_id), config.grace_us
-            )
-            self.recv_keys[peer] = PairKeys(_directional_key(secret, peer), config.grace_us)
+
+    def peer_state(self, own, name, secret):
+        return PairKeys(_directional_key(secret, own)), PairKeys(_directional_key(secret, name))
 
     def encode(self, frame, raw, entry, targets):
         if len(raw) < ENC_MIN_FRAME:
             return None
         tunnel = self.downlink
-        return [(tunnel.encode(raw, self.send_keys[p].current), [p]) for p in targets]
+        return [(tunnel.encode(raw, p.send.current), [p]) for p in targets]
 
-    def decode(self, body, from_peer, now):
-        keys = self.recv_keys.get(from_peer)
-        if keys is None:
-            return DecodeResult(reason="unknown_peer")
-        return self.downlink.decode(body, keys, now)
+    def decode(self, body, peer, now):
+        return self.downlink.decode(body, peer.recv, now)
 
-    def on_new_sa(self, now):
+    def on_new_sa(self, peers, now):
         """A tunneled SA changed: rotate send-direction keys everywhere."""
         notices = []
-        for peer, keys in self.send_keys.items():
+        for peer in peers:
+            keys = peer.send
             new_key = self._rand_bytes(16)
             epoch = keys.current.epoch + 1
             notices.append((peer, mgmt.MgmtMessage.rekey(epoch, new_key)))
             keys.rotate(new_key, epoch, now)
         return notices
 
-    def on_rekey(self, msg, from_peer, now):
-        keys = self.recv_keys.get(from_peer)
-        if keys is not None:
-            keys.rotate(msg.key, msg.epoch, now)
+    def on_rekey(self, msg, peer, now):
+        peer.recv.rotate(msg.key, msg.epoch, now)
 
-    def counters(self):
+    def counters(self, peers):
         return {
             "block_ops_uplink": self.downlink.block_ops_uplink,
             "block_ops_downlink": self.downlink.block_ops_downlink,
@@ -289,29 +287,20 @@ class EncCodec(SchemeCodec):
 class FullEncCodec(SchemeCodec):
     tag = encap.EncapScheme.FULLENC
 
-    def __init__(self, config: GatewayConfig, rand_bytes: Callable[[int], bytes]):
-        super().__init__(config, rand_bytes)
-        self.send: dict[str, FullEncTunnel] = {}
-        self.recv: dict[str, FullEncTunnel] = {}
-        for peer, secret in _pair_secrets(config):
-            self.send[peer] = FullEncTunnel(
-                _directional_key(secret, config.own_id), config.own_id
-            )
-            self.recv[peer] = FullEncTunnel(_directional_key(secret, peer), peer)
+    def peer_state(self, own, name, secret):
+        send = FullEncTunnel(_directional_key(secret, own), own)
+        return send, FullEncTunnel(_directional_key(secret, name), name)
 
     def encode(self, frame, raw, entry, targets):
-        return [(self.send[p].encode(raw), [p]) for p in targets]
+        return [(p.send.encode(raw), [p]) for p in targets]
 
-    def decode(self, body, from_peer, now):
-        recv = self.recv.get(from_peer)
-        if recv is None:
-            return DecodeResult(reason="unknown_peer")
-        return recv.decode(body)
+    def decode(self, body, peer, now):
+        return peer.recv.decode(body)
 
-    def counters(self):
+    def counters(self, peers):
         return {
-            "block_ops_uplink": sum(t.block_ops_uplink for t in self.send.values()),
-            "block_ops_downlink": sum(t.block_ops_downlink for t in self.recv.values()),
+            "block_ops_uplink": sum(p.send.block_ops_uplink for p in peers),
+            "block_ops_downlink": sum(p.recv.block_ops_downlink for p in peers),
         }
 
 
@@ -331,6 +320,10 @@ class GatewayEngine:
     refuses, and the message waits in that peer's outbox, which holds
     one message per (kind, subject) and never holds back another peer.
     ``emit_lan`` puts a reconstructed frame onto the local network.
+
+    ``peers`` has one ``Peer`` record per configured peer, in config
+    order; a datagram or management message from any other sender is
+    dropped as ``unknown_peer`` before it is decoded.
     """
 
     def __init__(
@@ -349,11 +342,16 @@ class GatewayEngine:
         self.stats = GatewayStats()
 
         self.uplink = UplinkTable()
-        self._outbox: defaultdict[str, dict[tuple, mgmt.MgmtMessage]] = defaultdict(dict)
         self._last_hello = 0
-        self.peer_liveness: dict[str, int] = {}
 
         self.codec = _CODECS[config.scheme](config, self._rand_bytes)
+        self.peers: dict[str, Peer] = {}
+        for name in config.peers:
+            secret = config.pair_secrets.get(name) or _default_pair_secret(config.own_id, name)
+            self.peers[name] = Peer(name, *self.codec.peer_state(config.own_id, name, secret))
+        # peers are fixed: the per-frame path reads these, not the dict
+        self._all_peers = tuple(self.peers.values())
+        self._boxes = tuple(p.outbox for p in self._all_peers)
         # the identifier tables, for callers that inspect them
         self.idf_downlink: Optional[IdfDownlink] = (
             self.codec.downlink if config.scheme is Scheme.IDF else None
@@ -372,9 +370,9 @@ class GatewayEngine:
     def _warn(self, reason: str) -> None:
         _count(self.stats.warnings, WARNING_REASONS, reason, 1)
 
-    def _mgmt_out(self, peer: str, msg: mgmt.MgmtMessage, subject=None) -> None:
+    def _mgmt_out(self, peer: Peer, msg: mgmt.MgmtMessage, subject=None) -> None:
         """Queue ``msg`` in ``peer``'s outbox, then send what it takes."""
-        box = self._outbox[peer]
+        box = peer.outbox
         if msg.kind is mgmt.MgmtKind.FLOW_EXPIRE:
             if box.pop((mgmt.MgmtKind.FLOW_ANNOUNCE, msg.bidf), None) is not None:
                 return  # the peer never learned the flow
@@ -386,11 +384,11 @@ class GatewayEngine:
         box[key] = msg
         self._flush(peer)
 
-    def _flush(self, peer: str) -> None:
-        box = self._outbox[peer]
+    def _flush(self, peer: Peer) -> None:
+        box = peer.outbox
         while box:
             key = next(iter(box))
-            if not self.send_mgmt(peer, mgmt.encode_message(box[key])):
+            if not self.send_mgmt(peer.name, mgmt.encode_message(box[key])):
                 return
             del box[key]
 
@@ -428,7 +426,7 @@ class GatewayEngine:
                 timeout=now + self.config.flow_timeout_us,
             )
             self.uplink.put(entry)
-            for peer, msg in self.codec.on_new_sa(now):
+            for peer, msg in self.codec.on_new_sa(self._all_peers, now):
                 self._mgmt_out(peer, msg)
         entry.timeout = now + self.config.flow_timeout_us
 
@@ -440,11 +438,11 @@ class GatewayEngine:
                 # second one rotates the base identifier to a new flow,
                 # whose far gateway is not learned yet
                 self._warn("unicast_dst_change")
-                for peer in self.config.peers:
+                for peer in self._all_peers:
                     self._mgmt_out(peer, mgmt.MgmtMessage.expire(cast.bidf))
                 self._shed_pending(cast)
                 cast = UplinkCast(new_bidf(self.rng))
-                entry.remote_gateways = set()
+                entry.remote_gateway = None
             self.uplink.set_unicast(entry, frame.dst, cast)
 
         cast = entry.broadcast if broadcast else entry.unicast
@@ -455,16 +453,16 @@ class GatewayEngine:
             pending = cast.pending
             first = not pending
             pending.append((frame, data))
-            if len(pending) > self.config.queue_limit:
+            if len(pending) > QUEUE_LIMIT:
                 del pending[0]
                 self._drop("unregistered_queue_overflow")
             header = HeaderData(dst=frame.dst, src=frame.src, sci=sci, an=an)
             msg = mgmt.MgmtMessage.announce(cast.bidf, header, pending[0][0].sectag.pn)
             key = (mgmt.MgmtKind.FLOW_ANNOUNCE, cast.bidf)
             # a peer whose outbox no longer holds the announcement has it
-            for peer in [p for p in self.config.peers if first or key in self._outbox[p]]:
+            for peer in [p for p in self._all_peers if first or key in p.outbox]:
                 self._mgmt_out(peer, msg)
-            if all(key in self._outbox[peer] for peer in self.config.peers):
+            if all(key in box for box in self._boxes):
                 return
             cast.announced = True
             cast.pending = []
@@ -486,22 +484,21 @@ class GatewayEngine:
         entry: UplinkFlowEntry,
         broadcast: bool,
     ) -> None:
-        cfg = self.config
-        if broadcast or not entry.remote_gateways:
-            targets = list(cfg.peers)
+        if broadcast or entry.remote_gateway is None:
+            targets = self._all_peers
         else:
-            targets = [p for p in entry.remote_gateways if p in cfg.peers]
-        if any(self._outbox.values()):
+            targets = (self.peers[entry.remote_gateway],)
+        if any(self._boxes):
             # a peer that takes the announcement late starts at this PN;
             # if the scheme decodes by flow, it cannot decode the flow's
             # datagrams until then, so it is skipped
             cast = entry.broadcast if broadcast else entry.unicast
             key = (mgmt.MgmtKind.FLOW_ANNOUNCE, cast.bidf)
-            for box in self._outbox.values():
+            for box in self._boxes:
                 if key in box:
                     box[key].pn = frame.sectag.pn
             if self.codec.needs_announce:
-                targets = [p for p in targets if key not in self._outbox[p]]
+                targets = [p for p in targets if key not in p.outbox]
 
         bodies = self.codec.encode(frame, raw, entry, targets)
         if bodies is None:
@@ -513,23 +510,23 @@ class GatewayEngine:
         if sent_any:
             self.stats.frames_tunneled += 1
 
-    def _send_body(self, body: bytes, targets: list[str]) -> bool:
+    def _send_body(self, body: bytes, targets) -> bool:
         try:
             datagram = encap.encap(body, self.codec.tag, self.config.mtu)
         except encap.TooLarge:
             self._drop("too_large")
             return False
         for peer in targets:
-            self.send_tunnel(peer, datagram)
+            self.send_tunnel(peer.name, datagram)
             self.stats.datagrams_sent += 1
             self.stats.bytes_tun_out += len(datagram)
         return bool(targets)
 
     def _forward_mka(self, data: bytes) -> None:
-        # one outbox slot per sequence number modulo mka_buffer: stale
+        # one outbox slot per sequence number modulo MKA_SLOTS: stale
         # key-agreement frames are better shed than replayed en masse
-        slot = self.stats.mka_forwarded % self.config.mka_buffer
-        for peer in self.config.peers:
+        slot = self.stats.mka_forwarded % MKA_SLOTS
+        for peer in self._all_peers:
             self._mgmt_out(peer, mgmt.MgmtMessage.mka(data), slot)
         self.stats.mka_forwarded += 1
 
@@ -538,15 +535,16 @@ class GatewayEngine:
         for flow in self.codec.downlink.addressed(frame.src, frame.dst):
             if not flow.learned:
                 flow.learned = True
-                self._mgmt_out(flow.origin, mgmt.MgmtMessage.learned(flow.bidf))
+                self._mgmt_out(self.peers[flow.origin], mgmt.MgmtMessage.learned(flow.bidf))
 
     # -- downlink ------------------------------------------------------------
 
     def on_tunnel_datagram(self, data: bytes, from_peer: str, now: int) -> None:
         self.stats.datagrams_received += 1
         self.stats.bytes_tun_in += len(data)
-        if self.config.peer_filter and from_peer not in self.config.peers:
-            self._drop("peer_filtered")
+        peer = self.peers.get(from_peer)
+        if peer is None:
+            self._drop("unknown_peer")
             return
         try:
             scheme_tag, body = encap.decap(data)
@@ -556,7 +554,7 @@ class GatewayEngine:
         if scheme_tag is not self.codec.tag:
             self._drop("scheme_mismatch")
             return
-        res = self.codec.decode(body, from_peer, now)
+        res = self.codec.decode(body, peer, now)
         if not res.ok:
             self._drop(res.reason)
             return
@@ -575,40 +573,44 @@ class GatewayEngine:
         self.on_mgmt_message(msg, from_peer, now)
 
     def on_mgmt_message(self, msg: mgmt.MgmtMessage, from_peer: str, now: int) -> None:
+        peer = self.peers.get(from_peer)
+        if peer is None:
+            self._drop("unknown_peer")
+            return
         kind = msg.kind
         if kind is mgmt.MgmtKind.FLOW_ANNOUNCE:
-            self._handle_announce(msg, from_peer)
+            self._handle_announce(msg, peer)
         elif kind is mgmt.MgmtKind.FLOW_LEARNED:
-            self._handle_learned(msg.bidf, from_peer)
+            self._handle_learned(msg.bidf, peer.name)
         elif kind is mgmt.MgmtKind.FLOW_EXPIRE:
             self.codec.downlink.remove(msg.bidf)
         elif kind is mgmt.MgmtKind.REKEY:
-            self.codec.on_rekey(msg, from_peer, now)
+            self.codec.on_rekey(msg, peer, now)
         elif kind is mgmt.MgmtKind.MKA_FORWARD:
             self.stats.bytes_lan_out += len(msg.frame)
             self.emit_lan(msg.frame)
         elif kind is mgmt.MgmtKind.HELLO:
-            self.peer_liveness[from_peer] = now
+            peer.last_hello = now
 
-    def _handle_announce(self, msg: mgmt.MgmtMessage, from_peer: str) -> None:
-        flow = self.codec.downlink.register(msg.bidf, msg.header, msg.pn, from_peer)
+    def _handle_announce(self, msg: mgmt.MgmtMessage, peer: Peer) -> None:
+        flow = self.codec.downlink.register(msg.bidf, msg.header, msg.pn, peer.name)
         # announce may arrive after we already carry the reverse flow
         if not flow.learned and self.uplink.has_unicast(msg.header.dst, msg.header.src):
             flow.learned = True
-            self._mgmt_out(from_peer, mgmt.MgmtMessage.learned(msg.bidf))
+            self._mgmt_out(peer, mgmt.MgmtMessage.learned(msg.bidf))
 
-    def _handle_learned(self, bidf: bytes, from_peer: str) -> None:
+    def _handle_learned(self, bidf: bytes, name: str) -> None:
         entry = self.uplink.by_unicast_bidf(bidf)
         if entry is None:
             return
-        if entry.remote_gateways and entry.remote_gateways != {from_peer}:
+        if entry.remote_gateway not in (None, name):
             self._warn("learned_conflict")
             log.warning(
                 "flow claimed by %s and %s; keeping the newer claim",
-                entry.remote_gateways,
-                from_peer,
+                entry.remote_gateway,
+                name,
             )
-        entry.remote_gateways = {from_peer}
+        entry.remote_gateway = name
 
     # -- timers ------------------------------------------------------------
 
@@ -616,14 +618,14 @@ class GatewayEngine:
         for entry in self.uplink.expire(now):
             for cast in (entry.unicast, entry.broadcast):
                 if cast.announced or cast.pending:
-                    for peer in self.config.peers:
+                    for peer in self._all_peers:
                         self._mgmt_out(peer, mgmt.MgmtMessage.expire(cast.bidf))
                 self._shed_pending(cast)
-        if now - self._last_hello >= self.config.hello_interval_us:
+        if now - self._last_hello >= HELLO_INTERVAL_US:
             self._last_hello = now
-            for peer in self.config.peers:
+            for peer in self._all_peers:
                 self._mgmt_out(peer, mgmt.MgmtMessage.hello())
-        for peer in list(self._outbox):
+        for peer in self._all_peers:
             self._flush(peer)
 
     # -- stats ------------------------------------------------------------
@@ -634,5 +636,5 @@ class GatewayEngine:
             s,
             drops=Counter(s.drops),
             warnings=Counter(s.warnings),
-            **self.codec.counters(),
+            **self.codec.counters(self._all_peers),
         )

@@ -91,16 +91,24 @@ def encode_message(msg: MgmtMessage) -> bytes:
     return HEADER.pack(MAGIC, VERSION, int(kind), len(body)) + body
 
 
-def decode_message(data: bytes) -> MgmtMessage:
-    """Parse one complete message; raises MgmtError on anything off."""
-    if len(data) < HEADER.size:
-        raise MgmtError("truncated header")
+def _check_header(data) -> tuple[int, int]:
+    """The (kind, body length) of a well-formed header at the start of ``data``."""
     magic, version, kind_raw, length = HEADER.unpack_from(data)
     if magic != MAGIC:
         raise MgmtError(f"bad magic 0x{magic:04x}")
     if version != VERSION:
         raise MgmtError(f"unsupported version {version}")
-    if length > MAX_BODY or HEADER.size + length != len(data):
+    if length > MAX_BODY:
+        raise MgmtError("oversized message")
+    return kind_raw, length
+
+
+def decode_message(data: bytes) -> MgmtMessage:
+    """Parse one complete message; raises MgmtError on anything off."""
+    if len(data) < HEADER.size:
+        raise MgmtError("truncated header")
+    kind_raw, length = _check_header(data)
+    if HEADER.size + length != len(data):
         raise MgmtError("length mismatch")
     try:
         kind = MgmtKind(kind_raw)
@@ -140,21 +148,23 @@ def decode_message(data: bytes) -> MgmtMessage:
 
 
 class StreamDecoder:
-    """Reassembles messages from a TCP byte stream."""
+    """Splits a TCP byte stream into messages.
+
+    ``feed`` raises MgmtError on a bad header, after which the stream
+    cannot be re-framed; the bodies are left to ``decode_message``.
+    """
 
     def __init__(self):
         self._buf = bytearray()
 
-    def feed(self, data: bytes) -> list[MgmtMessage]:
+    def feed(self, data: bytes) -> list[bytes]:
+        """The complete messages' bytes, each header to the end of its body."""
         self._buf += data
         out = []
         while len(self._buf) >= HEADER.size:
-            _, _, _, length = HEADER.unpack_from(self._buf)
-            if length > MAX_BODY:
-                raise MgmtError("oversized message")
-            total = HEADER.size + length
+            total = HEADER.size + _check_header(self._buf)[1]
             if len(self._buf) < total:
                 break
-            out.append(decode_message(bytes(self._buf[:total])))
+            out.append(bytes(self._buf[:total]))
             del self._buf[:total]
         return out

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 
 from .gateway import GatewayConfig, GatewayEngine
-from .mgmt import StreamDecoder, encode_message, MgmtError
+from .mgmt import MgmtError, StreamDecoder
 
 log = logging.getLogger(__name__)
 
@@ -190,9 +190,9 @@ class GatewayRunner:
             try:
                 msgs = decoder.feed(data)
             except MgmtError:
-                return
+                return  # the stream cannot be re-framed after a bad header
             for msg in msgs:
-                self._events.put(("mgmt", encode_message(msg), peer))
+                self._events.put(("mgmt", msg, peer))
 
     # -- engine thread ---------------------------------------------------------
 

@@ -14,7 +14,7 @@ import hashlib
 import heapq
 import json
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Optional
 
 from .frame import (
@@ -236,7 +236,12 @@ class Attacker:
         return dg, delay
 
     def inject(self, dst: str, datagram: bytes, at: int, spoof_src: Optional[str] = None):
-        """Deliver a fabricated datagram straight to a gateway."""
+        """Deliver a fabricated datagram straight to a gateway.
+
+        Without ``spoof_src`` it comes from ``"attacker"``, which is no
+        gateway's peer, so the gateway drops it as ``unknown_peer``
+        before any decode; spoof a peer's id to reach the scheme.
+        """
         if self._wan is None:
             raise ConfigInvalid("attacker not attached to a WAN")
         self._wan.deliver_raw(dst, datagram, at, spoof_src or "attacker")
@@ -474,10 +479,15 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
     Keys are field names of ``ScenarioConfig``, of ``NetModel`` in ``net``
     and of ``TrafficSpec`` in each ``traffic`` entry; an absent key takes
-    the field's default and an unknown one raises ``ConfigInvalid``.
+    the field's default; an unknown key, a missing required one or an
+    unknown scheme raises ``ConfigInvalid``.
     """
+    try:
+        scheme = Scheme(data.get("scheme", ScenarioConfig.scheme))
+    except ValueError as e:
+        raise ConfigInvalid(str(e)) from None
     converted = {
-        "scheme": Scheme(data.get("scheme", ScenarioConfig.scheme)),
+        "scheme": scheme,
         "net": _build(NetModel, data.get("net", {}), "net"),
         "traffic": [_build(TrafficSpec, t, "traffic") for t in data.get("traffic", [])],
     }
@@ -485,10 +495,18 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
 
 def _build(cls, data: dict, what: str):
-    """``cls(**data)``, once every key of ``data`` names a field of ``cls``."""
+    """``cls(**data)``, once the keys of ``data`` are fields of ``cls``
+    and include every field without a default."""
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigInvalid(f"unknown {what} keys: {', '.join(sorted(unknown))}")
+    missing = [
+        f.name
+        for f in fields(cls)
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in data
+    ]
+    if missing:
+        raise ConfigInvalid(f"missing {what} keys: {', '.join(missing)}")
     return cls(**data)
 
 

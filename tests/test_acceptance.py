@@ -279,7 +279,7 @@ def test_c05_attack_random_injection_idf():
 
 def test_c05_attack_random_injection_enc():
     pair = _fresh_pair(Scheme.ENC)
-    epoch = pair.a.codec.send_keys["B"].current.epoch & 0xFF
+    epoch = pair.a.peers["B"].send.current.epoch & 0xFF
     rng = random.Random(507)
     emitted_before = len(pair.emitted["B"])
     before = pair.b.snapshot_stats()
@@ -533,8 +533,8 @@ def test_c09_rekey_on_sa_change():
     assert a1.rollovers == 1
     gwa, gwb = s.gateways["gw-A"], s.gateways["gw-B"]
     # epoch: 1 after the first SA appeared, 2 after the rollover SA
-    assert gwa.codec.send_keys["gw-B"].current.epoch == 2
-    assert gwb.codec.recv_keys["gw-A"].current.epoch == 2
+    assert gwa.peers["gw-B"].send.current.epoch == 2
+    assert gwb.peers["gw-A"].recv.current.epoch == 2
     stats_b = gwb.snapshot_stats()
     # within grace the stolen old-epoch datagram is accepted...
     assert len(b1.accepted) == total - 1  # only the post-grace one is lost
@@ -647,7 +647,7 @@ def test_c10_fuzz_idf_decoder():
 def test_c10_fuzz_enc_decoder():
     pair = _fresh_pair(Scheme.ENC, frames=40)
     tun = pair.b.codec.downlink
-    keys = pair.b.codec.recv_keys["A"]
+    keys = pair.b.peers["A"].recv
     base = pair.captured[-1][2][8:]
     rng = random.Random(115)
     decoded = dropped = 0

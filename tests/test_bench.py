@@ -79,8 +79,9 @@ def test_csv_output_shape():
         (["--schemes", "fullenc", "--sizes", "1450"], "error: --sizes:"),
         (["--schemes", "foo"], "error: --schemes: 'foo'"),
         (["--schemes", ","], "error: --schemes: no scheme given"),
+        (["--window", "0"], "error: --window: window size must be >= 1"),
     ],
-    ids=["below-min-size", "too-large-for-scheme", "unknown-scheme", "no-scheme"],
+    ids=["below-min-size", "too-large-for-scheme", "unknown-scheme", "no-scheme", "no-window"],
 )
 def test_unusable_sizes_are_usage_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

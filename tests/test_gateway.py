@@ -7,8 +7,16 @@ import pytest
 
 from conftest import MAC_A, MAC_B, SCI_A, SCI_B, protect
 from msectun.encap import EncapScheme, encap
+from msectun.flow import HeaderData
 from msectun.frame import BROADCAST_MAC, Sci
-from msectun.gateway import DROP_REASONS, GatewayConfig, Scheme
+from msectun.gateway import (
+    DROP_REASONS,
+    HELLO_INTERVAL_US,
+    MKA_SLOTS,
+    QUEUE_LIMIT,
+    GatewayConfig,
+    Scheme,
+)
 from msectun.mgmt import MgmtKind, MgmtMessage, decode_message, encode_message
 from msectun.pair import EnginePair
 
@@ -34,10 +42,10 @@ def test_learning_narrows_targets(scheme):
     raw = protect(MAC_B, MAC_A, SCI_A, 1)
     pair.lan_a(raw)
     entry = pair.a.uplink.get(SCI_A, 0)
-    assert entry.remote_gateways == set()  # not learned yet
+    assert entry.remote_gateway is None  # not learned yet
     reply = protect(MAC_A, MAC_B, SCI_B, 1)
     pair.lan_b(reply)
-    assert entry.remote_gateways == {"B"}
+    assert entry.remote_gateway == "B"
 
 
 def test_non_macsec_dropped():
@@ -206,7 +214,7 @@ def test_indexes_match_full_scans(scheme):
             send[side](protect(dst, src, Sci(src, 1), pn[src, an[src]], an=an[src]))
         for gw in (pair.a, pair.b):
             _check_indexes(gw)
-            seen["learned"] += sum(e.remote_gateways != set() for e in gw.uplink.entries())
+            seen["learned"] += sum(e.remote_gateway is not None for e in gw.uplink.entries())
     # the sequence reached learning, destination changes and expiry
     seen.update(pair.a.snapshot_stats().warnings)
     assert seen["learned"] and seen["unicast_dst_change"] and seen["expired"], seen
@@ -231,12 +239,12 @@ def test_enc_rekey_on_new_sa():
     pair = EnginePair(Scheme.ENC)
     raw = protect(MAC_B, MAC_A, SCI_A, 1)
     pair.lan_a(raw)
-    assert pair.a.codec.send_keys["B"].current.epoch == 1
-    assert pair.b.codec.recv_keys["A"].current.epoch == 1
+    assert pair.a.peers["B"].send.current.epoch == 1
+    assert pair.b.peers["A"].recv.current.epoch == 1
     # second SA (AN rollover) bumps the epoch again
     raw2 = protect(MAC_B, MAC_A, SCI_A, 1, an=1)
     pair.lan_a(raw2)
-    assert pair.a.codec.send_keys["B"].current.epoch == 2
+    assert pair.a.peers["B"].send.current.epoch == 2
     assert pair.emitted["B"] == [raw, raw2]
 
 
@@ -258,15 +266,14 @@ def test_duplicate_announce_is_idempotent():
 
 
 def test_learned_conflict_warns_last_writer_wins():
-    pair = EnginePair(Scheme.IDF)
+    pair = EnginePair(Scheme.IDF, names=("A", "B", "C"))
     raw = protect(MAC_B, MAC_A, SCI_A, 1)
     pair.lan_a(raw)
     entry = pair.a.uplink.get(SCI_A, 0)
     pair.a.on_mgmt_message(MgmtMessage.learned(entry.unicast.bidf), "B", now=0)
-    assert entry.remote_gateways == {"B"}
-    pair.a.config.peers.append("C")
+    assert entry.remote_gateway == "B"
     pair.a.on_mgmt_message(MgmtMessage.learned(entry.unicast.bidf), "C", now=0)
-    assert entry.remote_gateways == {"C"}
+    assert entry.remote_gateway == "C"
     assert pair.a.snapshot_stats().warnings["learned_conflict"] == 1
 
 
@@ -300,10 +307,8 @@ def test_config_validation():
         GatewayConfig(own_id="A", peers=[])
     with pytest.raises(ValueError):
         GatewayConfig(own_id="A", peers=["A"])
-    with pytest.raises(ValueError):
-        GatewayConfig(own_id="A", peers=["B"], queue_limit=0)
-    with pytest.raises(ValueError):
-        GatewayConfig(own_id="A", peers=["B"], mka_buffer=0)
+    with pytest.raises(ValueError, match="window"):
+        GatewayConfig(own_id="A", peers=["B"], window=0)
     cfg = GatewayConfig(own_id="A", peers=["B"], scheme="enc")
     assert cfg.scheme is Scheme.ENC
 
@@ -349,12 +354,14 @@ def test_queued_frames_end_with_their_sa(scheme):
 
 
 def test_queue_overflow_drops_oldest():
-    pair = EnginePair(Scheme.IDF, queue_limit=5)
+    pair = EnginePair(Scheme.IDF)
     pair.a.send_mgmt = lambda p, d: False
-    for pn in range(1, 12):
+    for pn in range(1, QUEUE_LIMIT + 7):
         raw = protect(MAC_B, MAC_A, SCI_A, pn)
         pair.lan_a(raw)
     assert pair.a.snapshot_stats().drops["unregistered_queue_overflow"] == 6
+    pending = pair.a.uplink.get(SCI_A, 0).unicast.pending
+    assert [f.sectag.pn for f, _ in pending] == list(range(7, QUEUE_LIMIT + 7))
 
 
 def _refuse(gw, refusing):
@@ -429,7 +436,7 @@ def test_sa_expired_before_its_announcement_leaves_no_far_flow(scheme):
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_refusing_peer_is_owed_one_message_per_key(scheme):
     """50 frames and 5 HELLOs refused: one announcement and one HELLO wait."""
-    pair = EnginePair(scheme, hello_interval_us=1000)
+    pair = EnginePair(scheme)
     refusing = {"B"}
     delivered = []
     real_send = pair.a.send_mgmt
@@ -443,7 +450,7 @@ def test_refusing_peer_is_owed_one_message_per_key(scheme):
     pair.a.send_mgmt = send
     frames = [protect(MAC_B, MAC_A, SCI_A, pn) for pn in range(1, 52)]
     for pn, raw in enumerate(frames[:50], 1):
-        pair.lan_a(raw, now=pn * 100)
+        pair.lan_a(raw, now=pn * HELLO_INTERVAL_US // 10)
         if pn % 10 == 0:
             pair.a.on_timer(pair.now)  # a HELLO is due each time
     refusing.clear()
@@ -471,11 +478,11 @@ def test_broadcast_always_to_all_peers():
 
 
 def test_mka_buffered_during_outage_and_flushed():
-    pair = EnginePair(Scheme.IDF, mka_buffer=16)
+    pair = EnginePair(Scheme.IDF)
     real_send = pair.a.send_mgmt
     down = {"flag": True}
     pair.a.send_mgmt = lambda p, d: (not down["flag"]) and real_send(p, d)
-    frames = [MAC_B + MAC_A + b"\x88\x8e" + bytes([i]) for i in range(20)]
+    frames = [MAC_B + MAC_A + b"\x88\x8e" + bytes([i]) for i in range(MKA_SLOTS + 4)]
     for f in frames:
         pair.lan_a(f)
     assert pair.emitted["B"] == []
@@ -485,29 +492,58 @@ def test_mka_buffered_during_outage_and_flushed():
     assert pair.emitted["B"] == frames[4:]  # oldest four were shed
 
 
-def test_unknown_source_datagram_still_decoded():
-    pair = EnginePair(Scheme.IDF)
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_non_peer_datagram_dropped_before_decode(scheme):
+    """Only a configured peer's datagrams reach the scheme decode."""
+    pair = EnginePair(scheme)
     raw = protect(MAC_B, MAC_A, SCI_A, 1)
     pair.lan_a(raw)
     datagram = pair.captured[-1][2]
-    pair.b.on_tunnel_datagram(b"\xa5\xec\x11" + bytes(5) + bytes(40), "attacker", now=0)
-    assert pair.b.snapshot_stats().drops["unknown_identifier"] == 1
-    # replaying the genuine datagram from a spoofed source also reaches
-    # the scheme decode and is classified there
-    pair.b.on_tunnel_datagram(datagram, "attacker", now=0)
-    assert pair.b.snapshot_stats().drops["replay"] == 1
+    pair.b.on_tunnel_datagram(datagram, "X", now=0)
+    pair.b.on_tunnel_datagram(b"junk", "X", now=0)
+    stats = pair.b.snapshot_stats()
+    assert stats.drops == Counter(unknown_peer=2)
+    assert stats.datagrams_received == 3
+    assert pair.emitted["B"] == [raw]
+    # a datagram that claims a peer's source is the scheme's to judge
+    pair.b.on_tunnel_datagram(datagram, "A", now=0)
+    delivered_again = scheme in (Scheme.NAIVE, Scheme.FULLENC)
+    assert pair.emitted["B"] == ([raw, raw] if delivered_again else [raw])
+    assert pair.b.snapshot_stats().drops["replay"] == (0 if delivered_again else 1)
 
 
-def test_peer_filter_optional_defense():
-    pair = EnginePair(Scheme.IDF, peer_filter=True)
-    pair.b.on_tunnel_datagram(b"\xa5\xec\x11" + bytes(45), "attacker", now=0)
-    assert pair.b.snapshot_stats().drops["peer_filtered"] == 1
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_learned_from_non_peer_keeps_the_flow(scheme):
+    pair = EnginePair(scheme)
+    pair.lan_a(protect(MAC_B, MAC_A, SCI_A, 1))
+    bidf = pair.a.uplink.get(SCI_A, 0).unicast.bidf
+    pair.a.on_mgmt_bytes(encode_message(MgmtMessage.learned(bidf)), "X", now=0)
+    frames = [protect(MAC_B, MAC_A, SCI_A, pn) for pn in range(2, 22)]
+    for raw in frames:
+        pair.lan_a(raw)
+    assert pair.emitted["B"][1:] == frames
+    assert pair.a.snapshot_stats().drops == Counter(unknown_peer=1)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_announce_from_non_peer_registers_nothing(scheme):
+    pair = EnginePair(scheme)
+    header = HeaderData(dst=MAC_A, src=MAC_B, sci=SCI_B, an=0)
+    pair.a.on_mgmt_bytes(encode_message(MgmtMessage.announce(bytes(16), header, 1)), "X", 0)
+    assert pair.a.codec.downlink.flows == {}
+    raw = protect(MAC_B, MAC_A, SCI_A, 1)
+    pair.lan_a(raw)  # the announced flow's reverse traffic
+    assert pair.emitted["B"] == [raw]
+    assert list(pair.a.peers) == ["B"]
+    assert not any(p.outbox for p in pair.a.peers.values())
+    assert pair.a.snapshot_stats().drops == Counter(unknown_peer=1)
 
 
 def test_hello_liveness():
-    pair = EnginePair(Scheme.IDF, hello_interval_us=5_000_000)
-    pair.a.on_timer(now=5_000_000)
-    assert pair.b.peer_liveness.get("A") == 0  # delivered synchronously at now=0
-    pair.now = 10_000_000
-    pair.a.on_timer(now=10_000_000)
-    assert pair.b.peer_liveness["A"] == 10_000_000
+    pair = EnginePair(Scheme.IDF)
+    assert pair.b.peers["A"].last_hello is None
+    pair.a.on_timer(now=HELLO_INTERVAL_US)
+    assert pair.b.peers["A"].last_hello == 0  # delivered synchronously at now=0
+    pair.now = 2 * HELLO_INTERVAL_US
+    pair.a.on_timer(now=pair.now)
+    assert pair.b.peers["A"].last_hello == 2 * HELLO_INTERVAL_US

@@ -96,10 +96,19 @@ def test_stream_decoder_reassembles():
         MgmtMessage.hello(),
         MgmtMessage.rekey(1, bytes(16)),
     ]
-    stream = b"".join(encode_message(m) for m in msgs)
+    # a well-framed message with a bad body is split out like any other;
+    # its decode fails on its own and the stream goes on
+    malformed = encode_message(MgmtMessage.hello())[:-4] + (3).to_bytes(4, "big") + b"xyz"
+    encoded = [encode_message(m) for m in msgs]
+    stream = encoded[0] + malformed + b"".join(encoded[1:])
     dec = StreamDecoder()
     out = []
     for i in range(0, len(stream), 7):  # drip-feed in odd chunks
         out += dec.feed(stream[i : i + 7])
-    assert [m.kind for m in out] == [m.kind for m in msgs]
-    assert out[0].pn == 9
+    assert out == [encoded[0], malformed, *encoded[1:]]
+    with pytest.raises(MgmtError):
+        decode_message(malformed)
+    assert decode_message(out[0]).pn == 9
+    # a bad header ends the stream: nothing after it can be framed
+    with pytest.raises(MgmtError):
+        StreamDecoder().feed(b"\x00" + encoded[1][1:])

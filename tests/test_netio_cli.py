@@ -100,10 +100,13 @@ def test_silent_mgmt_connection_does_not_block_peers():
     mgmt_addr = ("127.0.0.1", ports["B"]["mgmt"])
     silent = socket.create_connection(mgmt_addr)  # never sends its handshake
     try:
+        hello = encode_message(MgmtMessage.hello())
+        malformed = hello[:-4] + (3).to_bytes(4, "big") + b"xyz"  # framed, bad body
         with socket.create_connection(mgmt_addr) as peer:
-            peer.sendall(struct.pack(">H", 3) + b"gwA" + encode_message(MgmtMessage.hello()))
-            _wait_for(lambda: "gwA" in gw_b.engine.peer_liveness, 5)
-        assert "gwA" in gw_b.engine.peer_liveness
+            peer.sendall(struct.pack(">H", 3) + b"gwA" + malformed + hello)
+            _wait_for(lambda: gw_b.engine.peers["gwA"].last_hello is not None, 5)
+        assert gw_b.engine.peers["gwA"].last_hello is not None
+        assert gw_b.engine.stats.drops["mgmt_malformed"] == 1
     finally:
         silent.close()
         for r in runners.values():

@@ -1,4 +1,4 @@
-"""The library names perfbench's span tracer patches stay where it looks.
+"""The library names perfbench uses stay where it looks for them.
 
 ``perfbench/tracing.py`` wraps each ``(owner, attr)`` of its
 ``LAYER_FUNCTIONS`` by reading ``owner.__dict__[attr]``, so a method a
@@ -6,10 +6,17 @@ class only inherits, or one renamed or removed, fails only when a
 traced run installs the tracer.  Some of those names look unused from
 inside the library: the ``register``/``remove`` rebindings on
 ``IdfDownlink`` and ``EncTunnel`` and ``UplinkTable.entries``.
+
+The judged workloads also run here at toy size, so that a rename of an
+engine attribute perfbench reads fails the suite, not only the benchmark.
 """
 
+import importlib
 import runpy
+import sys
 from pathlib import Path
+
+import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -22,3 +29,33 @@ def test_every_traced_name_is_defined_on_its_owner():
         span for owner, attr, span in layer_functions if attr not in vars(owner)
     ]
     assert missing == []
+
+
+BENCH = TRACING.parent
+BENCH_MODULES = ("gen", "pairs", "report", "tracing", "workloads")
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """perfbench's ``workloads`` and ``report``, imported as its own tests
+    import them, without writing bytecode under ``perfbench/``."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    yield importlib.import_module("workloads"), importlib.import_module("report")
+    for name in BENCH_MODULES:
+        sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("name", ["Small1Flow", "Imix4kFlows"])
+def test_judged_workloads_pass_their_gates(perfbench, name):
+    """The benchmark's judged workloads at toy size, as ``perfbench/tests``
+    shrinks them: the engine attributes they read are still there."""
+    workloads, report = perfbench
+    wl = getattr(workloads, name)(3)
+    if isinstance(wl, workloads.Imix4kFlows):
+        wl.SAS_PER_SIDE = 24
+    wl.setup_repeats = min(wl.setup_repeats, 2)
+    gate = workloads.Gate()
+    runs = workloads.run_workload(wl, 0.6, gate, None, slices=3)
+    assert gate.failures == []
+    assert report.end_to_end(runs)["deliver_frac"][0] == 1.0

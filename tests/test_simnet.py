@@ -19,6 +19,7 @@ from msectun.simnet import (
     ScenarioConfig,
     TrafficSpec,
     device_mac,
+    load_scenario,
     run_scenario,
     scenario_from_dict,
 )
@@ -355,6 +356,28 @@ def test_scenario_from_dict():
     ):
         with pytest.raises(ConfigInvalid, match=key):
             scenario_from_dict({"lans": lans} | bad)
+    # a missing required key and an unknown scheme are named too
+    for bad, key in (
+        ({}, "lans"),
+        ({"lans": lans, "traffic": [{"dst": "b1"}]}, "device"),
+        ({"lans": lans, "scheme": "bogus"}, "bogus"),
+    ):
+        with pytest.raises(ConfigInvalid, match=key):
+            scenario_from_dict(bad)
+
+
+def test_load_scenario(tmp_path):
+    data = {
+        "lans": {"A": ["a1"], "B": ["b1"]},
+        "scheme": "idf",
+        "net": {"seed": 5, "loss_prob": 0.05},
+        "traffic": [{"device": "a1", "dst": "b1", "count": 20, "interval_us": 100}],
+        "duration_us": 100_000,
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    loaded = run_scenario(load_scenario(str(path))).transcript.csv()
+    assert loaded == run_scenario(scenario_from_dict(data)).transcript.csv()
 
 
 def test_transcript_csv_shape():
