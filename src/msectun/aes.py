@@ -4,14 +4,23 @@ Table-driven implementation (encrypt and decrypt direction) used by the
 header-encryption tunnel scheme and the full-frame AEAD baseline, where
 the per-block work itself is the quantity under measurement.  Verified
 against the FIPS-197 known-answer vectors in tests/test_aes.py.
+
+The state is the block read as one big-endian 128-bit int, its bytes
+in FIPS-197 order (byte ``4 * column + row``).  A full round is one
+``to_bytes(16)`` and 16 lookups, one table per byte position, whose
+entries are already shifted into the output column that ShiftRows sends
+that byte to; XORing the 16 entries and the 128-bit round key gives the
+next state.  The last round is a byte ``translate`` through the S-box and
+a ShiftRows gather.
 """
 
-import struct
+from operator import itemgetter
 
 BLOCK_SIZE = 16
 
-_WORDS = struct.Struct(">IIII")
 _M32 = 0xFFFFFFFF
+_from_bytes = int.from_bytes  # bound once; a lookup per call costs more than the XOR
+_WORD_REP = 0x00000001_00000001_00000001_00000001  # one 32-bit word in each column
 
 
 def _build_sbox() -> tuple[int, ...]:
@@ -34,6 +43,8 @@ def _build_sbox() -> tuple[int, ...]:
 
 _SBOX = _build_sbox()
 _INV_SBOX = tuple(_SBOX.index(i) for i in range(256))
+_SBOX_BYTES = bytes(_SBOX)
+_INV_SBOX_BYTES = bytes(_INV_SBOX)
 
 
 def _xtime(a: int) -> int:
@@ -51,124 +62,138 @@ def _gf_mul(a: int, b: int) -> int:
     return out
 
 
-def _build_tables():
-    te0, te1, te2, te3 = [], [], [], []
-    td0, td1, td2, td3 = [], [], [], []
+def _column_words():
+    """Per row, the 32-bit MixColumns (and InvMixColumns) word of each byte."""
+    te, td = [[], [], [], []], [[], [], [], []]
     for x in range(256):
         s = _SBOX[x]
         s2 = _xtime(s)
-        s3 = s2 ^ s
-        w = (s2 << 24) | (s << 16) | (s << 8) | s3
-        te0.append(w)
-        te1.append(((w >> 8) | (w << 24)) & _M32)
-        te2.append(((w >> 16) | (w << 16)) & _M32)
-        te3.append(((w >> 24) | (w << 8)) & _M32)
+        w = (s2 << 24) | (s << 16) | (s << 8) | (s2 ^ s)
         si = _INV_SBOX[x]
-        w = (
+        v = (
             (_gf_mul(si, 0x0E) << 24)
             | (_gf_mul(si, 0x09) << 16)
             | (_gf_mul(si, 0x0D) << 8)
             | _gf_mul(si, 0x0B)
         )
-        td0.append(w)
-        td1.append(((w >> 8) | (w << 24)) & _M32)
-        td2.append(((w >> 16) | (w << 16)) & _M32)
-        td3.append(((w >> 24) | (w << 8)) & _M32)
-    return (
-        tuple(te0), tuple(te1), tuple(te2), tuple(te3),
-        tuple(td0), tuple(td1), tuple(td2), tuple(td3),
-    )
+        for row in range(4):
+            # row r of the input lands in row r of the output column
+            te[row].append(((w >> 8 * row) | (w << 32 - 8 * row)) & _M32)
+            td[row].append(((v >> 8 * row) | (v << 32 - 8 * row)) & _M32)
+    return te, td
 
 
-_TE0, _TE1, _TE2, _TE3, _TD0, _TD1, _TD2, _TD3 = _build_tables()
+# ShiftRows moves the byte in (row, column) to column ``column - row``,
+# InvShiftRows to ``column + row``: ``step`` -1 or +1 below
+
+
+def _round_tables(words, step: int) -> tuple[tuple[int, ...], ...]:
+    """One table per byte position: its row's word, shifted into the
+    column that (Inv)ShiftRows moves the byte to."""
+    tables = []
+    for pos in range(16):
+        column, row = divmod(pos, 4)
+        shift = 32 * (3 - (column + step * row) % 4)
+        tables.append(tuple(w << shift for w in words[row]))
+    return tuple(tables)
+
+
+def _gather(step: int) -> itemgetter:
+    """(Inv)ShiftRows as a gather: output byte ``o`` reads its row's byte
+    from the column that moves to ``o``'s column."""
+    return itemgetter(*(4 * ((o // 4 - step * (o % 4)) % 4) + o % 4 for o in range(16)))
+
+
+_TE, _TD = _column_words()
+_ENC_ROUND = _round_tables(_TE, -1)
+_DEC_ROUND = _round_tables(_TD, +1)
+_SHIFT_ROWS = _gather(-1)
+_INV_SHIFT_ROWS = _gather(+1)
+del _TE, _TD
 
 _RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
 
-def _expand_key(key: bytes) -> list[int]:
-    w = list(struct.unpack(">IIII", key))
-    for i in range(4, 44):
-        t = w[i - 1]
-        if i % 4 == 0:
-            t = ((t << 8) | (t >> 24)) & _M32
-            t = (
-                (_SBOX[t >> 24] << 24)
-                | (_SBOX[(t >> 16) & 0xFF] << 16)
-                | (_SBOX[(t >> 8) & 0xFF] << 8)
-                | _SBOX[t & 0xFF]
-            )
-            t ^= _RCON[i // 4 - 1] << 24
-        w.append(w[i - 4] ^ t)
-    return w
+def _expand_key(key: bytes) -> tuple[int, ...]:
+    """The 11 round keys, each as one 128-bit int."""
+    sb = _SBOX
+    k = int.from_bytes(key, "big")
+    out = [k]
+    for rcon in _RCON:
+        w = k & _M32
+        t = (
+            (sb[(w >> 16) & 0xFF] << 24)
+            | (sb[(w >> 8) & 0xFF] << 16)
+            | (sb[w & 0xFF] << 8)
+            | sb[w >> 24]
+        ) ^ (rcon << 24)
+        # w0' = w0 ^ t, w1' = w1 ^ w0', ...: each column XORs all
+        # the words above it, plus t
+        k ^= (k >> 32) ^ (k >> 64) ^ (k >> 96) ^ (t * _WORD_REP)
+        out.append(k)
+    return tuple(out)
+
+
+def _inv_mix_columns(k: int) -> int:
+    # a decryption round undoes ShiftRows and SubBytes, so feeding it
+    # ShiftRows(SubBytes(k)) leaves InvMixColumns(k)
+    t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15 = _DEC_ROUND
+    x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15 = _SHIFT_ROWS(
+        k.to_bytes(16, "big").translate(_SBOX_BYTES)
+    )
+    return (
+        t0[x0] ^ t1[x1] ^ t2[x2] ^ t3[x3] ^ t4[x4] ^ t5[x5] ^ t6[x6] ^ t7[x7]
+        ^ t8[x8] ^ t9[x9] ^ t10[x10] ^ t11[x11] ^ t12[x12] ^ t13[x13] ^ t14[x14] ^ t15[x15]
+    )
+
+
+def _decrypt_keys(ek: tuple[int, ...]) -> tuple[int, ...]:
+    """Equivalent inverse cipher schedule: reversed rounds, inner keys
+    passed through InvMixColumns so the decryption tables apply directly."""
+    return (ek[10], *(_inv_mix_columns(k) for k in ek[9:0:-1]), ek[0])
 
 
 class Aes128:
-    """One expanded AES-128 key; encrypts/decrypts single 16-byte blocks."""
+    """One expanded AES-128 key; encrypts/decrypts single 16-byte blocks.
+
+    The decryption schedule is derived on the first ``decrypt_block``:
+    a tunnel key that only ever encrypts never pays for it.
+    """
 
     __slots__ = ("_ek", "_dk")
 
     def __init__(self, key: bytes):
         if len(key) != BLOCK_SIZE:
             raise ValueError("AES-128 key must be 16 bytes")
-        ek = _expand_key(key)
-        # decryption key schedule: reversed rounds, inner keys passed
-        # through InvMixColumns so Td tables can be used directly
-        dk = [0] * 44
-        for r in range(11):
-            dk[4 * r : 4 * r + 4] = ek[4 * (10 - r) : 4 * (10 - r) + 4]
-        for i in range(4, 40):
-            w = dk[i]
-            dk[i] = (
-                _TD0[_SBOX[w >> 24]]
-                ^ _TD1[_SBOX[(w >> 16) & 0xFF]]
-                ^ _TD2[_SBOX[(w >> 8) & 0xFF]]
-                ^ _TD3[_SBOX[w & 0xFF]]
-            )
-        self._ek = ek
-        self._dk = dk
+        self._ek = _expand_key(key)
+        self._dk = None
 
     def encrypt_block(self, block: bytes) -> bytes:
-        te0, te1, te2, te3 = _TE0, _TE1, _TE2, _TE3
+        t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15 = _ENC_ROUND
         rk = self._ek
-        s0, s1, s2, s3 = _WORDS.unpack(block)
-        s0 ^= rk[0]
-        s1 ^= rk[1]
-        s2 ^= rk[2]
-        s3 ^= rk[3]
-        i = 4
-        for _ in range(9):
-            t0 = te0[s0 >> 24] ^ te1[(s1 >> 16) & 0xFF] ^ te2[(s2 >> 8) & 0xFF] ^ te3[s3 & 0xFF] ^ rk[i]
-            t1 = te0[s1 >> 24] ^ te1[(s2 >> 16) & 0xFF] ^ te2[(s3 >> 8) & 0xFF] ^ te3[s0 & 0xFF] ^ rk[i + 1]
-            t2 = te0[s2 >> 24] ^ te1[(s3 >> 16) & 0xFF] ^ te2[(s0 >> 8) & 0xFF] ^ te3[s1 & 0xFF] ^ rk[i + 2]
-            t3 = te0[s3 >> 24] ^ te1[(s0 >> 16) & 0xFF] ^ te2[(s1 >> 8) & 0xFF] ^ te3[s2 & 0xFF] ^ rk[i + 3]
-            s0, s1, s2, s3 = t0, t1, t2, t3
-            i += 4
-        sb = _SBOX
-        o0 = ((sb[s0 >> 24] << 24) | (sb[(s1 >> 16) & 0xFF] << 16) | (sb[(s2 >> 8) & 0xFF] << 8) | sb[s3 & 0xFF]) ^ rk[40]
-        o1 = ((sb[s1 >> 24] << 24) | (sb[(s2 >> 16) & 0xFF] << 16) | (sb[(s3 >> 8) & 0xFF] << 8) | sb[s0 & 0xFF]) ^ rk[41]
-        o2 = ((sb[s2 >> 24] << 24) | (sb[(s3 >> 16) & 0xFF] << 16) | (sb[(s0 >> 8) & 0xFF] << 8) | sb[s1 & 0xFF]) ^ rk[42]
-        o3 = ((sb[s3 >> 24] << 24) | (sb[(s0 >> 16) & 0xFF] << 16) | (sb[(s1 >> 8) & 0xFF] << 8) | sb[s2 & 0xFF]) ^ rk[43]
-        return _WORDS.pack(o0, o1, o2, o3)
+        s = _from_bytes(block, "big") ^ rk[0]
+        for k in rk[1:10]:
+            x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15 = s.to_bytes(16, "big")
+            s = (
+                t0[x0] ^ t1[x1] ^ t2[x2] ^ t3[x3] ^ t4[x4] ^ t5[x5] ^ t6[x6] ^ t7[x7]
+                ^ t8[x8] ^ t9[x9] ^ t10[x10] ^ t11[x11] ^ t12[x12] ^ t13[x13] ^ t14[x14]
+                ^ t15[x15] ^ k
+            )
+        last = bytes(_SHIFT_ROWS(s.to_bytes(16, "big").translate(_SBOX_BYTES)))
+        return (_from_bytes(last, "big") ^ rk[10]).to_bytes(16, "big")
 
     def decrypt_block(self, block: bytes) -> bytes:
-        td0, td1, td2, td3 = _TD0, _TD1, _TD2, _TD3
         rk = self._dk
-        s0, s1, s2, s3 = _WORDS.unpack(block)
-        s0 ^= rk[0]
-        s1 ^= rk[1]
-        s2 ^= rk[2]
-        s3 ^= rk[3]
-        i = 4
-        for _ in range(9):
-            t0 = td0[s0 >> 24] ^ td1[(s3 >> 16) & 0xFF] ^ td2[(s2 >> 8) & 0xFF] ^ td3[s1 & 0xFF] ^ rk[i]
-            t1 = td0[s1 >> 24] ^ td1[(s0 >> 16) & 0xFF] ^ td2[(s3 >> 8) & 0xFF] ^ td3[s2 & 0xFF] ^ rk[i + 1]
-            t2 = td0[s2 >> 24] ^ td1[(s1 >> 16) & 0xFF] ^ td2[(s0 >> 8) & 0xFF] ^ td3[s3 & 0xFF] ^ rk[i + 2]
-            t3 = td0[s3 >> 24] ^ td1[(s2 >> 16) & 0xFF] ^ td2[(s1 >> 8) & 0xFF] ^ td3[s0 & 0xFF] ^ rk[i + 3]
-            s0, s1, s2, s3 = t0, t1, t2, t3
-            i += 4
-        isb = _INV_SBOX
-        o0 = ((isb[s0 >> 24] << 24) | (isb[(s3 >> 16) & 0xFF] << 16) | (isb[(s2 >> 8) & 0xFF] << 8) | isb[s1 & 0xFF]) ^ rk[40]
-        o1 = ((isb[s1 >> 24] << 24) | (isb[(s0 >> 16) & 0xFF] << 16) | (isb[(s3 >> 8) & 0xFF] << 8) | isb[s2 & 0xFF]) ^ rk[41]
-        o2 = ((isb[s2 >> 24] << 24) | (isb[(s1 >> 16) & 0xFF] << 16) | (isb[(s0 >> 8) & 0xFF] << 8) | isb[s3 & 0xFF]) ^ rk[42]
-        o3 = ((isb[s3 >> 24] << 24) | (isb[(s2 >> 16) & 0xFF] << 16) | (isb[(s1 >> 8) & 0xFF] << 8) | isb[s0 & 0xFF]) ^ rk[43]
-        return _WORDS.pack(o0, o1, o2, o3)
+        if rk is None:
+            rk = self._dk = _decrypt_keys(self._ek)
+        t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15 = _DEC_ROUND
+        s = _from_bytes(block, "big") ^ rk[0]
+        for k in rk[1:10]:
+            x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15 = s.to_bytes(16, "big")
+            s = (
+                t0[x0] ^ t1[x1] ^ t2[x2] ^ t3[x3] ^ t4[x4] ^ t5[x5] ^ t6[x6] ^ t7[x7]
+                ^ t8[x8] ^ t9[x9] ^ t10[x10] ^ t11[x11] ^ t12[x12] ^ t13[x13] ^ t14[x14]
+                ^ t15[x15] ^ k
+            )
+        last = bytes(_INV_SHIFT_ROWS(s.to_bytes(16, "big").translate(_INV_SBOX_BYTES)))
+        return (_from_bytes(last, "big") ^ rk[10]).to_bytes(16, "big")

@@ -34,6 +34,9 @@ def gw_main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     raw = _load_gw_config(args.config)
+    window = args.window if args.window is not None else raw.get("window", 64)
+    if not isinstance(window, int) or window < 1:
+        parser.error(f"--window: window size must be an integer >= 1, not {window!r}")
     scheme = Scheme(args.scheme or raw.get("scheme", "idf"))
     peers = {
         name: PeerEndpoints(
@@ -48,7 +51,7 @@ def gw_main(argv=None) -> int:
         own_id=raw["own_id"],
         peers=list(peers),
         scheme=scheme,
-        window=args.window or raw.get("window", 64),
+        window=window,
         pair_secrets=pair_secrets,
     )
 

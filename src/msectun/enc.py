@@ -94,10 +94,11 @@ class PairKeys:
         return None
 
 
+_from_bytes = int.from_bytes  # bound once; a lookup per call costs more than the XOR
+
+
 def _xor16(a: bytes, b: bytes, c: bytes) -> bytes:
-    return (
-        int.from_bytes(a, "big") ^ int.from_bytes(b, "big") ^ int.from_bytes(c, "big")
-    ).to_bytes(16, "big")
+    return (_from_bytes(a, "big") ^ _from_bytes(b, "big") ^ _from_bytes(c, "big")).to_bytes(16, "big")
 
 
 def header_encrypt(block1: bytes, block2: bytes, cipher: Aes128) -> tuple[bytes, bytes]:

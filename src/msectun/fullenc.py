@@ -24,13 +24,15 @@ OVERHEAD = NONCE_LEN + TAG_LEN
 REASON_AUTH_FAIL = "auth_fail"
 REASON_MALFORMED = "malformed"
 
+_from_bytes = int.from_bytes  # bound once; a lookup per call costs more than the XOR
+
 
 def _mac_blocks(cipher: Aes128, nonce: bytes, data: bytes, aad: bytes, tag_len: int):
     """CBC-MAC pass over the CCM B-blocks; returns (mac_state, block_ops)."""
     flags = (64 if aad else 0) | (((tag_len - 2) // 2) << 3) | 1  # L' = L-1 = 1
     b0 = bytes([flags]) + nonce + struct.pack(">H", len(data))
-    x = cipher.encrypt_block(b0)
-    ops = 1
+    encrypt = cipher.encrypt_block
+    x = encrypt(b0)
     if aad:
         blocks = struct.pack(">H", len(aad)) + aad
         blocks += b"\x00" * (-len(blocks) % 16)
@@ -38,23 +40,24 @@ def _mac_blocks(cipher: Aes128, nonce: bytes, data: bytes, aad: bytes, tag_len: 
         blocks = b""
     blocks += data + b"\x00" * (-len(data) % 16)
     for off in range(0, len(blocks), 16):
-        chunk = int.from_bytes(blocks[off : off + 16], "big")
-        x = cipher.encrypt_block((int.from_bytes(x, "big") ^ chunk).to_bytes(16, "big"))
-        ops += 1
-    return x, ops
+        chunk = _from_bytes(blocks[off : off + 16], "big")
+        x = encrypt((_from_bytes(x, "big") ^ chunk).to_bytes(16, "big"))
+    return x, 1 + len(blocks) // 16
 
 
-def _ctr_stream(cipher: Aes128, nonce: bytes, nbytes: int):
-    """CCM counter keystream starting at block 1; returns (bytes, ops)."""
-    out = bytearray()
-    ops = 0
-    counter = 1
-    while len(out) < nbytes:
-        block = cipher.encrypt_block(b"\x01" + nonce + struct.pack(">H", counter))
-        out += block
-        counter += 1
-        ops += 1
-    return bytes(out[:nbytes]), ops
+def _keystream(cipher: Aes128, nonce: bytes, nbytes: int) -> bytes:
+    """CCM counter blocks S0 (the tag mask) to Sn, n = ceil(nbytes / 16)."""
+    prefix = b"\x01" + nonce
+    encrypt = cipher.encrypt_block
+    return b"".join(
+        [encrypt(prefix + i.to_bytes(2, "big")) for i in range(-(-nbytes // 16) + 1)]
+    )
+
+
+def _xor(data: bytes, stream: bytes) -> bytes:
+    """``data`` XOR the first ``len(data)`` bytes of ``stream``, as one int."""
+    n = len(data)
+    return (_from_bytes(data, "big") ^ _from_bytes(stream[:n], "big")).to_bytes(n, "big")
 
 
 def ccm_encrypt(
@@ -64,11 +67,10 @@ def ccm_encrypt(
     if len(nonce) != NONCE_LEN:
         raise ValueError("CCM nonce must be 13 bytes")
     mac, ops = _mac_blocks(cipher, nonce, plaintext, aad, tag_len)
-    s0 = cipher.encrypt_block(b"\x01" + nonce + b"\x00\x00")
-    stream, ctr_ops = _ctr_stream(cipher, nonce, len(plaintext))
-    ct = bytes(p ^ s for p, s in zip(plaintext, stream))
-    tag = bytes(m ^ s for m, s in zip(mac[:tag_len], s0))
-    return ct + tag, ops + ctr_ops + 1
+    stream = _keystream(cipher, nonce, len(plaintext))
+    ct = _xor(plaintext, stream[16:])
+    tag = _xor(mac[:tag_len], stream)
+    return ct + tag, ops + len(stream) // 16
 
 
 def ccm_decrypt(
@@ -78,14 +80,13 @@ def ccm_decrypt(
     if len(nonce) != NONCE_LEN or len(sealed) < tag_len:
         return None, 0
     ct, tag = sealed[:-tag_len], sealed[-tag_len:]
-    s0 = cipher.encrypt_block(b"\x01" + nonce + b"\x00\x00")
-    stream, ctr_ops = _ctr_stream(cipher, nonce, len(ct))
-    plaintext = bytes(c ^ s for c, s in zip(ct, stream))
-    mac, mac_ops = _mac_blocks(cipher, nonce, plaintext, aad, tag_len)
-    expect = bytes(m ^ s for m, s in zip(mac[:tag_len], s0))
-    if expect != tag:
-        return None, ctr_ops + mac_ops + 1
-    return plaintext, ctr_ops + mac_ops + 1
+    stream = _keystream(cipher, nonce, len(ct))
+    plaintext = _xor(ct, stream[16:])
+    mac, ops = _mac_blocks(cipher, nonce, plaintext, aad, tag_len)
+    ops += len(stream) // 16
+    if _xor(mac[:tag_len], stream) != tag:
+        return None, ops
+    return plaintext, ops
 
 
 class FullEncTunnel:

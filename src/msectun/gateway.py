@@ -342,6 +342,9 @@ class GatewayEngine:
         self.stats = GatewayStats()
 
         self.uplink = UplinkTable()
+        # casts whose frames wait for an announcement no peer has taken,
+        # by base identifier; each tick releases those a flush handed over
+        self._queued: dict[bytes, tuple[UplinkFlowEntry, UplinkCast, bool]] = {}
         self._last_hello = 0
 
         self.codec = _CODECS[config.scheme](config, self._rand_bytes)
@@ -463,17 +466,25 @@ class GatewayEngine:
             for peer in [p for p in self._all_peers if first or key in p.outbox]:
                 self._mgmt_out(peer, msg)
             if all(key in box for box in self._boxes):
+                self._queued[cast.bidf] = (entry, cast, broadcast)
                 return
-            cast.announced = True
-            cast.pending = []
-            for queued, raw in pending:
-                self._tunnel_frame(queued, raw, entry, broadcast)
-            self._learn_from_uplink(frame)
+            self._release(entry, cast, broadcast)
         else:
             self._tunnel_frame(frame, data, entry, broadcast)
 
+    def _release(self, entry: UplinkFlowEntry, cast: UplinkCast, broadcast: bool) -> None:
+        """A peer has the cast's announcement: tunnel the queued frames."""
+        pending = cast.pending
+        cast.announced = True
+        cast.pending = []
+        self._queued.pop(cast.bidf, None)
+        for queued, raw in pending:
+            self._tunnel_frame(queued, raw, entry, broadcast)
+        self._learn_from_uplink(pending[-1][0])
+
     def _shed_pending(self, cast: UplinkCast) -> None:
         """Count the queued frames of a flow that ends unannounced."""
+        self._queued.pop(cast.bidf, None)
         if cast.pending:
             self._drop("unregistered_queue_overflow", len(cast.pending))
 
@@ -627,6 +638,10 @@ class GatewayEngine:
                 self._mgmt_out(peer, mgmt.MgmtMessage.hello())
         for peer in self._all_peers:
             self._flush(peer)
+        for entry, cast, broadcast in list(self._queued.values()):
+            key = (mgmt.MgmtKind.FLOW_ANNOUNCE, cast.bidf)
+            if not all(key in box for box in self._boxes):
+                self._release(entry, cast, broadcast)
 
     # -- stats ------------------------------------------------------------
 

@@ -26,7 +26,7 @@ from .flow import (
     UplinkFlowEntry,
     WindowStatus,
 )
-from .siphash import siphash24, siphash24_many
+from .siphash import siphash24_many, siphash24_words
 
 WIRE_SHRINK = 18  # header bytes removed minus the 8-byte identifier
 MIN_BODY = 8 + 2 + 2 + ICV_LEN
@@ -37,6 +37,9 @@ REASON_OUT_OF_WINDOW = WindowStatus.OUT_OF_WINDOW.value
 REASON_MALFORMED = "malformed"
 
 
+_BIDF_WORDS = struct.Struct("<QQ")
+
+
 def derive_ridf(bidf: bytes, pn: int) -> int:
     """Rotating identifier for one packet number of a flow.
 
@@ -45,8 +48,14 @@ def derive_ridf(bidf: bytes, pn: int) -> int:
     roles (bidf hashed, PN keying) while meeting the 128-bit key size
     of the primitive.  Interoperating implementations must match this
     construction exactly.
+
+    SipHash reads that key as two equal little-endian 64-bit words, each
+    the byte-swapped PN in both halves, so they are computed from the PN
+    directly and hashed by the fixed 16-byte form ``siphash24_words``.
     """
-    return siphash24(struct.pack(">IIII", pn, pn, pn, pn), bidf)
+    k = int.from_bytes(pn.to_bytes(4, "big"), "little") * 0x1_0000_0001
+    m0, m1 = _BIDF_WORDS.unpack(bidf)
+    return siphash24_words(k, k, m0, m1)
 
 
 def derive_ridfs(bidf: bytes, pns: list[int]) -> list[int]:

@@ -91,6 +91,130 @@ def siphash24(key: bytes, data: bytes) -> int:
     return v0 ^ v1 ^ v2 ^ v3
 
 
+def siphash24_words(k0: int, k1: int, m0: int, m1: int) -> int:
+    """SipHash-2-4 of a 16-byte message, unrolled for that one length.
+
+    ``k0, k1`` and ``m0, m1`` are the key's and the message's two
+    little-endian 64-bit words; the result is ``siphash24`` of the same
+    key and message.  Two message words and a final block holding only
+    the length make 10 SipRounds, written out with no loop and no tail
+    handling.  In each round the 32-bit rotation of ``v0`` shares one
+    mask with the addition after it: the bits a sum carries past 64 are
+    dropped either way.
+    """
+    M = _U64
+    v0 = k0 ^ 0x736F6D6570736575
+    v1 = k1 ^ 0x646F72616E646F6D
+    v2 = k0 ^ 0x6C7967656E657261
+    v3 = k1 ^ 0x7465646279746573 ^ m0
+    # compression: two SipRounds per message word
+    v0 = (v0 + v1) & M
+    v1 = ((v1 << 13 | v1 >> 51) & M) ^ v0
+    v2 = (v2 + v3) & M
+    v3 = ((v3 << 16 | v3 >> 48) & M) ^ v2
+    v0 = ((v0 << 32 | v0 >> 32) + v3) & M
+    v3 = ((v3 << 21 | v3 >> 43) & M) ^ v0
+    v2 = (v2 + v1) & M
+    v1 = ((v1 << 17 | v1 >> 47) & M) ^ v2
+    v2 = (v2 << 32 | v2 >> 32) & M
+
+    v0 = (v0 + v1) & M
+    v1 = ((v1 << 13 | v1 >> 51) & M) ^ v0
+    v2 = (v2 + v3) & M
+    v3 = ((v3 << 16 | v3 >> 48) & M) ^ v2
+    v0 = ((v0 << 32 | v0 >> 32) + v3) & M
+    v3 = ((v3 << 21 | v3 >> 43) & M) ^ v0
+    v2 = (v2 + v1) & M
+    v1 = ((v1 << 17 | v1 >> 47) & M) ^ v2
+    v2 = (v2 << 32 | v2 >> 32) & M
+    v0 ^= m0
+    v3 ^= m1
+    v0 = (v0 + v1) & M
+    v1 = ((v1 << 13 | v1 >> 51) & M) ^ v0
+    v2 = (v2 + v3) & M
+    v3 = ((v3 << 16 | v3 >> 48) & M) ^ v2
+    v0 = ((v0 << 32 | v0 >> 32) + v3) & M
+    v3 = ((v3 << 21 | v3 >> 43) & M) ^ v0
+    v2 = (v2 + v1) & M
+    v1 = ((v1 << 17 | v1 >> 47) & M) ^ v2
+    v2 = (v2 << 32 | v2 >> 32) & M
+
+    v0 = (v0 + v1) & M
+    v1 = ((v1 << 13 | v1 >> 51) & M) ^ v0
+    v2 = (v2 + v3) & M
+    v3 = ((v3 << 16 | v3 >> 48) & M) ^ v2
+    v0 = ((v0 << 32 | v0 >> 32) + v3) & M
+    v3 = ((v3 << 21 | v3 >> 43) & M) ^ v0
+    v2 = (v2 + v1) & M
+    v1 = ((v1 << 17 | v1 >> 47) & M) ^ v2
+    v2 = (v2 << 32 | v2 >> 32) & M
+    v0 ^= m1
+    # final block: the length byte, no tail bytes
+    v3 ^= 16 << 56
+    v0 = (v0 + v1) & M
+    v1 = ((v1 << 13 | v1 >> 51) & M) ^ v0
+    v2 = (v2 + v3) & M
+    v3 = ((v3 << 16 | v3 >> 48) & M) ^ v2
+    v0 = ((v0 << 32 | v0 >> 32) + v3) & M
+    v3 = ((v3 << 21 | v3 >> 43) & M) ^ v0
+    v2 = (v2 + v1) & M
+    v1 = ((v1 << 17 | v1 >> 47) & M) ^ v2
+    v2 = (v2 << 32 | v2 >> 32) & M
+
+    v0 = (v0 + v1) & M
+    v1 = ((v1 << 13 | v1 >> 51) & M) ^ v0
+    v2 = (v2 + v3) & M
+    v3 = ((v3 << 16 | v3 >> 48) & M) ^ v2
+    v0 = ((v0 << 32 | v0 >> 32) + v3) & M
+    v3 = ((v3 << 21 | v3 >> 43) & M) ^ v0
+    v2 = (v2 + v1) & M
+    v1 = ((v1 << 17 | v1 >> 47) & M) ^ v2
+    v2 = (v2 << 32 | v2 >> 32) & M
+    v0 ^= 16 << 56
+    v2 ^= 0xFF
+    # finalization: four SipRounds
+    v0 = (v0 + v1) & M
+    v1 = ((v1 << 13 | v1 >> 51) & M) ^ v0
+    v2 = (v2 + v3) & M
+    v3 = ((v3 << 16 | v3 >> 48) & M) ^ v2
+    v0 = ((v0 << 32 | v0 >> 32) + v3) & M
+    v3 = ((v3 << 21 | v3 >> 43) & M) ^ v0
+    v2 = (v2 + v1) & M
+    v1 = ((v1 << 17 | v1 >> 47) & M) ^ v2
+    v2 = (v2 << 32 | v2 >> 32) & M
+
+    v0 = (v0 + v1) & M
+    v1 = ((v1 << 13 | v1 >> 51) & M) ^ v0
+    v2 = (v2 + v3) & M
+    v3 = ((v3 << 16 | v3 >> 48) & M) ^ v2
+    v0 = ((v0 << 32 | v0 >> 32) + v3) & M
+    v3 = ((v3 << 21 | v3 >> 43) & M) ^ v0
+    v2 = (v2 + v1) & M
+    v1 = ((v1 << 17 | v1 >> 47) & M) ^ v2
+    v2 = (v2 << 32 | v2 >> 32) & M
+
+    v0 = (v0 + v1) & M
+    v1 = ((v1 << 13 | v1 >> 51) & M) ^ v0
+    v2 = (v2 + v3) & M
+    v3 = ((v3 << 16 | v3 >> 48) & M) ^ v2
+    v0 = ((v0 << 32 | v0 >> 32) + v3) & M
+    v3 = ((v3 << 21 | v3 >> 43) & M) ^ v0
+    v2 = (v2 + v1) & M
+    v1 = ((v1 << 17 | v1 >> 47) & M) ^ v2
+    v2 = (v2 << 32 | v2 >> 32) & M
+
+    v0 = (v0 + v1) & M
+    v1 = ((v1 << 13 | v1 >> 51) & M) ^ v0
+    v2 = (v2 + v3) & M
+    v3 = ((v3 << 16 | v3 >> 48) & M) ^ v2
+    v0 = ((v0 << 32 | v0 >> 32) + v3) & M
+    v3 = ((v3 << 21 | v3 >> 43) & M) ^ v0
+    v2 = (v2 + v1) & M
+    v1 = ((v1 << 17 | v1 >> 47) & M) ^ v2
+    v2 = (v2 << 32 | v2 >> 32) & M
+    return v0 ^ v1 ^ v2 ^ v3
+
+
 def siphash24_digest(key: bytes, data: bytes) -> bytes:
     """Little-endian 8-byte digest, as in the reference implementation."""
     return _WORD.pack(siphash24(key, data))

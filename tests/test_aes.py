@@ -4,7 +4,8 @@ import os
 import random
 
 import pytest
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.ciphers.aead import AESCCM, AESGCM
 
 from msectun.aes import Aes128
 from msectun.fullenc import ccm_decrypt, ccm_encrypt
@@ -47,6 +48,21 @@ def test_encrypt_decrypt_inverse_random():
         c = Aes128(rng.getrandbits(128).to_bytes(16, "big"))
         block = rng.getrandbits(128).to_bytes(16, "big")
         assert c.decrypt_block(c.encrypt_block(block)) == block
+
+
+def test_matches_cryptography_ecb():
+    """Both directions against the ``cryptography`` AES-ECB, many keys and blocks."""
+    rng = random.Random(12)
+    for _ in range(100):
+        key = rng.randbytes(16)
+        blocks = rng.randbytes(16 * 8)
+        ours = Aes128(key)
+        ecb = Cipher(algorithms.AES(key), modes.ECB())
+        want_ct = ecb.encryptor().update(blocks)
+        want_pt = ecb.decryptor().update(blocks)
+        for off in range(0, len(blocks), 16):
+            assert ours.encrypt_block(blocks[off : off + 16]) == want_ct[off : off + 16]
+            assert ours.decrypt_block(blocks[off : off + 16]) == want_pt[off : off + 16]
 
 
 def test_bad_key_length():
@@ -123,6 +139,21 @@ def test_ccm_rfc3610(nonce, aad, pt, tag_len, want):
         cipher, bytes.fromhex(nonce), sealed, bytes.fromhex(aad), tag_len
     )
     assert back == bytes.fromhex(pt)
+
+
+@pytest.mark.parametrize("aad_len", [0, 20])
+@pytest.mark.parametrize("size", [0, 1, 15, 16, 17, 64, 576, 1400])
+def test_ccm_matches_cryptography(size, aad_len):
+    """13-byte nonce, 16-byte tag, against ``cryptography``'s AESCCM."""
+    rng = random.Random(size * 100 + aad_len)
+    for _ in range(3):
+        key, nonce = rng.randbytes(16), rng.randbytes(13)
+        pt, aad = rng.randbytes(size), rng.randbytes(aad_len)
+        want = AESCCM(key, tag_length=16).encrypt(nonce, pt, aad or None)
+        cipher = Aes128(key)
+        sealed, _ = ccm_encrypt(cipher, nonce, pt, aad)
+        assert sealed == want
+        assert ccm_decrypt(cipher, nonce, want, aad)[0] == pt
 
 
 def test_ccm_rejects_tampering():

@@ -419,6 +419,29 @@ def test_refusing_peer_holds_back_no_retry(scheme):
     assert pair.emitted["C"] == frames
 
 
+@pytest.mark.parametrize("dst", [MAC_B, BROADCAST_MAC], ids=["unicast", "broadcast"])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_tick_that_hands_over_the_announcement_drains_the_queue(scheme, dst):
+    """[B refusing] 3 frames queue; the tick that delivers the announcement
+    delivers them too, and the SA's expiry later sheds nothing."""
+    pair = EnginePair(scheme, flow_timeout_us=10_000)
+    refusing = {"B"}
+    _refuse(pair.a, refusing)
+    frames = [protect(dst, MAC_A, SCI_A, pn) for pn in (1, 2, 3)]
+    for raw in frames:
+        pair.lan_a(raw, now=0)
+    assert pair.emitted["B"] == []
+    refusing.clear()
+    pair.a.on_timer(100)
+    assert len(pair.b.codec.downlink.flows) == 1
+    assert pair.emitted["B"] == frames
+    assert pair.a.uplink.get(SCI_A, 0).cast(dst).pending == []
+    pair.a.on_timer(20_000)  # the SA expires
+    assert pair.a.uplink.get(SCI_A, 0) is None
+    assert pair.a.snapshot_stats().dropped() == 0
+    assert pair.b.snapshot_stats().dropped() == 0
+
+
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_sa_expired_before_its_announcement_leaves_no_far_flow(scheme):
     pair = EnginePair(scheme, flow_timeout_us=1000)

@@ -104,6 +104,21 @@ def test_derive_matches_documented_construction():
     assert derive_ridf(bidf, pn) == siphash24(key, bidf)
 
 
+@pytest.mark.parametrize("pn", [1, 2**16, 2**31, 2**32 - 1])
+def test_derive_matches_siphash24_at_edge_pns(pn):
+    rng = random.Random(pn)
+    for _ in range(20):
+        bidf = rng.randbytes(16)
+        assert derive_ridf(bidf, pn) == siphash24(struct.pack(">IIII", pn, pn, pn, pn), bidf)
+
+
+def test_derive_matches_siphash24_at_random_pns():
+    rng = random.Random(3)
+    for _ in range(500):
+        bidf, pn = rng.randbytes(16), rng.randrange(1, 2**32)
+        assert derive_ridf(bidf, pn) == siphash24(struct.pack(">IIII", pn, pn, pn, pn), bidf)
+
+
 def test_derive_distinct_across_pn_sweep():
     bidf = b"\x5a" * 16
     seen = {derive_ridf(bidf, pn) for pn in range(1, 100_001)}

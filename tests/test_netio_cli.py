@@ -166,6 +166,62 @@ def test_gw_cli_config_parsing(tmp_path):
     assert parsed["own_id"] == "gwX"
 
 
+class _StubRunner:
+    """Stands in for ``GatewayRunner``: records the config, opens nothing."""
+
+    configs: list = []
+
+    def __init__(self, config, **endpoints):
+        self.configs.append(config)
+        self.addresses = {}
+
+    def start(self):
+        pass
+
+    def stop(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "json_window,flag,expect",
+    [
+        (None, [], 64),
+        (16, [], 16),
+        (16, ["--window", "32"], 32),
+        (None, ["--window", "0"], None),
+        (16, ["--window", "0"], None),
+        (0, [], None),
+        (-3, [], None),
+        ("64", [], None),
+    ],
+)
+def test_gw_cli_window(tmp_path, monkeypatch, capsys, json_window, flag, expect):
+    from msectun import cli
+
+    cfg = {"own_id": "gwX", "peers": {"gwY": {"tunnel": "127.0.0.1:1", "mgmt": "127.0.0.1:2"}}}
+    if json_window is not None:
+        cfg["window"] = json_window
+    path = tmp_path / "gw.json"
+    path.write_text(json.dumps(cfg))
+    _StubRunner.configs = []
+    monkeypatch.setattr(cli, "GatewayRunner", _StubRunner)
+
+    def interrupt(_seconds):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.time, "sleep", interrupt)
+    if expect is None:
+        with pytest.raises(SystemExit) as exc:
+            cli.gw_main(["--config", str(path), *flag])
+        assert exc.value.code == 2
+        assert "error: --window: " in capsys.readouterr().err
+        assert _StubRunner.configs == []
+    else:
+        assert cli.gw_main(["--config", str(path), *flag]) == 0
+        [config] = _StubRunner.configs
+        assert config.window == expect
+
+
 def test_stats_interval_dump():
     runners, ports = _runner_pair(Scheme.NAIVE)
     lines = []

@@ -5,7 +5,7 @@ import struct
 
 import pytest
 
-from msectun.siphash import siphash24, siphash24_digest, siphash24_many
+from msectun.siphash import siphash24, siphash24_digest, siphash24_many, siphash24_words
 
 # Reference vectors: key 000102...0f, message = bytes(range(i)) for
 # i in 0..63; each entry is the little-endian digest of the 64-bit hash.
@@ -88,3 +88,19 @@ def test_many_empty_and_key_length():
     assert siphash24_many([], b"x") == []
     with pytest.raises(ValueError):
         siphash24_many([KEY, b"short"], b"x")
+
+
+def test_words_form_matches_reference_vector_16():
+    key = bytes(range(16))
+    k0, k1 = struct.unpack("<QQ", key)
+    m0, m1 = struct.unpack("<QQ", bytes(range(16)))
+    assert struct.pack("<Q", siphash24_words(k0, k1, m0, m1)).hex() == VECTORS[16]
+
+
+def test_words_form_matches_scalar_random():
+    rng = random.Random(16)
+    for _ in range(300):
+        key, msg = rng.randbytes(16), rng.randbytes(16)
+        assert siphash24_words(*struct.unpack("<QQ", key), *struct.unpack("<QQ", msg)) == (
+            siphash24(key, msg)
+        )
