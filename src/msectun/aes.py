@@ -63,7 +63,8 @@ def _gf_mul(a: int, b: int) -> int:
 
 
 def _column_words():
-    """Per row, the 32-bit MixColumns (and InvMixColumns) word of each byte."""
+    """Per row, each byte's 32-bit contribution to its output column after
+    SubBytes and MixColumns (and after their inverses)."""
     te, td = [[], [], [], []], [[], [], [], []]
     for x in range(256):
         s = _SBOX[x]
@@ -77,7 +78,7 @@ def _column_words():
             | _gf_mul(si, 0x0B)
         )
         for row in range(4):
-            # row r of the input lands in row r of the output column
+            # a byte in row r contributes the row-0 word rotated right by 8r
             te[row].append(((w >> 8 * row) | (w << 32 - 8 * row)) & _M32)
             td[row].append(((v >> 8 * row) | (v << 32 - 8 * row)) & _M32)
     return te, td
