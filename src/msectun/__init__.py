@@ -23,7 +23,7 @@ from .frame import (
     is_mka,
     parse_macsec,
 )
-from .flow import FlowKey, ReplayWindow, classify
+from .flow import ReplayWindow
 from .idf import derive_ridf
 from .enc import header_decrypt, header_encrypt
 from .gateway import GatewayConfig, GatewayEngine, GatewayStats, Scheme
@@ -41,9 +41,7 @@ __all__ = [
     "endpoint_protect",
     "endpoint_verify",
     "is_mka",
-    "FlowKey",
     "ReplayWindow",
-    "classify",
     "derive_ridf",
     "header_encrypt",
     "header_decrypt",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from .flow import DEFAULT_WINDOW
 from .frame import Sci
 from .gateway import Scheme
 from .pair import EnginePair, seal
@@ -83,7 +84,9 @@ def _warm_pair(scheme: Scheme, frame_size: int, window: int) -> EnginePair:
     return pair
 
 
-def run_bench_cell(scheme: Scheme, frame_size: int, seconds: float, window: int = 64) -> BenchResult:
+def run_bench_cell(
+    scheme: Scheme, frame_size: int, seconds: float, window: int = DEFAULT_WINDOW
+) -> BenchResult:
     """One (scheme, size) measurement over a fresh gateway pair.
 
     Raises ValueError for a size the scheme cannot carry."""
@@ -154,7 +157,7 @@ def run_bench(
     schemes: list[Scheme],
     sizes: list[int],
     seconds: float,
-    window: int = 64,
+    window: int = DEFAULT_WINDOW,
 ) -> list[BenchResult]:
     """Sweep schemes x sizes; ``seconds`` is the budget per size row,
     split evenly across the schemes.  Zero duration gives no results."""

@@ -9,13 +9,17 @@ import time
 
 from . import encap, mgmt
 from .bench import results_csv, run_bench
+from .flow import DEFAULT_WINDOW
 from .gateway import GatewayConfig, Scheme
 from .netio import GatewayRunner, PeerEndpoints, parse_hostport
 
 
 def _load_gw_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("not a JSON object")
+    return raw
 
 
 def gw_main(argv=None) -> int:
@@ -33,27 +37,34 @@ def gw_main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    raw = _load_gw_config(args.config)
-    window = args.window if args.window is not None else raw.get("window", 64)
+    try:
+        raw = _load_gw_config(args.config)
+    except (OSError, ValueError) as e:
+        parser.error(f"--config: {e}")
+    window = args.window if args.window is not None else raw.get("window", DEFAULT_WINDOW)
     if not isinstance(window, int) or window < 1:
         parser.error(f"--window: window size must be an integer >= 1, not {window!r}")
-    scheme = Scheme(args.scheme or raw.get("scheme", "idf"))
-    peers = {
-        name: PeerEndpoints(
-            tunnel=parse_hostport(ep["tunnel"]), mgmt=parse_hostport(ep["mgmt"])
+    # a bad value is a usage error that names the key it came from
+    key = "own_id"
+    try:
+        own_id = raw[key]
+        key = "scheme"
+        scheme = Scheme(args.scheme or raw.get(key, "idf"))
+        key = "peers"
+        peers = {}
+        for name, ep in raw[key].items():
+            key = f"peers.{name}"
+            peers[name] = PeerEndpoints(parse_hostport(ep["tunnel"]), parse_hostport(ep["mgmt"]))
+        key = "pair_secrets"
+        pair_secrets = {name: bytes.fromhex(sec) for name, sec in raw.get(key, {}).items()}
+        key = "peers"
+        config = GatewayConfig(
+            own_id, list(peers), scheme=scheme, window=window, pair_secrets=pair_secrets
         )
-        for name, ep in raw["peers"].items()
-    }
-    pair_secrets = {
-        name: bytes.fromhex(sec) for name, sec in raw.get("pair_secrets", {}).items()
-    }
-    config = GatewayConfig(
-        own_id=raw["own_id"],
-        peers=list(peers),
-        scheme=scheme,
-        window=window,
-        pair_secrets=pair_secrets,
-    )
+    except KeyError as e:
+        parser.error(f"{key}: missing {e}")
+    except (AttributeError, TypeError, ValueError) as e:
+        parser.error(f"{key}: {e}")
 
     lan_spec = args.lan_if or raw.get("lan_if", "udp:127.0.0.1:0")
     parts = lan_spec.split(":")
@@ -94,7 +105,7 @@ def bench_main(argv=None) -> int:
     parser.add_argument(
         "--secs", type=float, default=10.0, help="time budget per size row"
     )
-    parser.add_argument("--window", type=int, default=64)
+    parser.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     parser.add_argument("--out", default="-", help="CSV output path ('-' = stdout)")
     args = parser.parse_args(argv)
 

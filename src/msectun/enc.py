@@ -67,18 +67,17 @@ class PairKeys:
     survives the switch.
     """
 
-    def __init__(self, key: bytes, grace_us: int = DEFAULT_GRACE_US):
+    def __init__(self, key: bytes):
         self.current = TunnelKey(key, 0)
         self.previous: Optional[TunnelKey] = None
         self.grace_until = 0
-        self.grace_us = grace_us
 
     def rotate(self, key: bytes, epoch: int, now: int) -> bool:
         if epoch <= self.current.epoch:
             return False  # duplicate or stale rekey notice
         self.previous = self.current
         self.current = TunnelKey(key, epoch)
-        self.grace_until = now + self.grace_us
+        self.grace_until = now + DEFAULT_GRACE_US
         return True
 
     def for_epoch(self, epoch_byte: int, now: int) -> Optional[TunnelKey]:

@@ -1,10 +1,9 @@
-"""Flow state: keys, the three lookup tables, and replay windows.
+"""Flow state: the three lookup tables and replay windows.
 
 A flow is unidirectional traffic from one MACsec device to another,
 keyed by (SCI, AN, destination MAC).  The uplink table is keyed by
 (SCI, AN) and holds one unicast and one broadcast ``UplinkCast`` per
-security association: the flow's base identifier, whether it was
-announced, and the frames that wait for that announcement.  The
+security association: everything the gateway knows of that flow.  The
 downlink flow table is keyed by base identifier; the identifier table
 is keyed by rotating identifier.
 
@@ -23,9 +22,12 @@ from __future__ import annotations
 import enum
 import secrets
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .frame import MacsecFrame, Sci, is_broadcast
+
+if TYPE_CHECKING:
+    from .mgmt import MgmtMessage
 
 PN_MAX = 0xFFFFFFFF
 DEFAULT_WINDOW = 64
@@ -34,19 +36,6 @@ DEFAULT_FLOW_TIMEOUT_US = 60_000_000
 
 class BindMismatch(ValueError):
     """Attempt to bind flows that do not share an SA."""
-
-
-@dataclass(frozen=True)
-class FlowKey:
-    sci: Sci
-    an: int
-    dst: bytes
-
-
-def classify(frame: MacsecFrame) -> FlowKey:
-    """Project a parsed frame onto its flow key."""
-    tag = frame.sectag
-    return FlowKey(sci=tag.sci, an=tag.tci.an, dst=frame.dst)
 
 
 def new_bidf(rng=None) -> bytes:
@@ -130,11 +119,20 @@ class ReplayWindow:
 class UplinkCast:
     """One cast of an uplink SA: its unicast or its broadcast flow.
 
-    ``pending`` holds the frames that wait for the flow's announcement;
-    it is emptied when the announcement is out and ends with the record.
+    ``dst`` is the flow's destination MAC, unset until a unicast cast
+    carries its first frame; a new destination is a new cast.
+    ``remote_gateway`` is the peer learned from reverse traffic; a
+    broadcast cast never learns one.  ``announce`` is the flow's one
+    announcement, made with its first frame; every outbox that still
+    owes it holds this object, so one write keeps its PN current.
+    ``pending`` holds the frames that wait for the announcement; it is
+    emptied when the announcement is out and ends with the record.
     """
 
     bidf: bytes
+    dst: Optional[bytes] = None
+    remote_gateway: Optional[str] = None
+    announce: Optional[MgmtMessage] = None
     announced: bool = False
     pending: list[tuple[MacsecFrame, bytes]] = field(default_factory=list)
 
@@ -148,9 +146,6 @@ class UplinkFlowEntry:
     unicast: UplinkCast
     broadcast: UplinkCast
     timeout: int
-    remote_gateway: Optional[str] = None
-    # operational extras, not part of the table contract
-    unicast_dst: Optional[bytes] = None
 
     def cast(self, dst: bytes) -> UplinkCast:
         return self.broadcast if is_broadcast(dst) else self.unicast
@@ -353,7 +348,7 @@ class UplinkTable:
     Entries are also found by unicast base identifier (``by_unicast_bidf``)
     and counted by (SCI system id, unicast destination) (``has_unicast``).
     Once an entry is in the table, the table is the only writer of its
-    ``unicast`` record and ``unicast_dst``: change them with
+    ``unicast`` record and that record's ``dst``: change them with
     ``set_unicast`` so that both indexes follow.  Two entries that share
     a unicast base identifier (random 128-bit values never do) are found
     by the later one until it leaves.  An entry's two ``UplinkCast``
@@ -376,16 +371,15 @@ class UplinkTable:
         return (src, dst) in self._dst_count
 
     def put(self, entry: UplinkFlowEntry) -> None:
-        old = self._entries.get((entry.sci, entry.an))
-        if old is not None:
-            self._unindex(old)
+        """Add an entry whose (SCI, AN) is not in the table."""
         self._entries[(entry.sci, entry.an)] = entry
         self._index(entry)
 
     def set_unicast(self, entry: UplinkFlowEntry, dst: bytes, cast: UplinkCast) -> None:
         """Point the entry's unicast flow at ``dst``, carried by ``cast``."""
+        # unindex under the old destination before it changes
         self._unindex(entry)
-        entry.unicast_dst = dst
+        cast.dst = dst
         entry.unicast = cast
         self._index(entry)
 
@@ -399,16 +393,16 @@ class UplinkTable:
 
     def _index(self, entry: UplinkFlowEntry) -> None:
         self._by_bidf[entry.unicast.bidf] = entry
-        if entry.unicast_dst is not None:
-            key = (entry.sci.system_id, entry.unicast_dst)
+        if entry.unicast.dst is not None:
+            key = (entry.sci.system_id, entry.unicast.dst)
             self._dst_count[key] = self._dst_count.get(key, 0) + 1
 
     def _unindex(self, entry: UplinkFlowEntry) -> None:
         bidf = entry.unicast.bidf
         if self._by_bidf.get(bidf) is entry:
             del self._by_bidf[bidf]
-        if entry.unicast_dst is not None:
-            key = (entry.sci.system_id, entry.unicast_dst)
+        if entry.unicast.dst is not None:
+            key = (entry.sci.system_id, entry.unicast.dst)
             n = self._dst_count[key] - 1
             if n:
                 self._dst_count[key] = n

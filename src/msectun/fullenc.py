@@ -10,7 +10,6 @@ scheme, so per-frame block counts are directly comparable.  Wire body:
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from typing import Optional
 
@@ -18,8 +17,8 @@ from .aes import Aes128
 from .flow import DecodeResult
 
 NONCE_LEN = 13  # 15 - L with L = 2
+PREFIX_LEN = 5  # the nonce's per-sender part; an 8-byte counter follows
 TAG_LEN = 16
-OVERHEAD = NONCE_LEN + TAG_LEN
 
 REASON_AUTH_FAIL = "auth_fail"
 REASON_MALFORMED = "malformed"
@@ -90,11 +89,16 @@ def ccm_decrypt(
 
 
 class FullEncTunnel:
-    """Whole-frame AEAD encode/decode with per-direction keys."""
+    """Whole-frame AEAD encode/decode with per-direction keys.
 
-    def __init__(self, key: bytes, own_id: str):
+    A nonce is ``nonce_prefix`` and a counter from 1.  A sender draws its
+    prefix at random when it starts, so a restart repeats no nonce under
+    the same key; a tunnel that only decodes needs none.
+    """
+
+    def __init__(self, key: bytes, nonce_prefix: bytes = b""):
         self.cipher = Aes128(key)
-        self._nonce_prefix = hashlib.sha256(own_id.encode()).digest()[:5]
+        self._nonce_prefix = nonce_prefix
         self._counter = 0
         self.block_ops_uplink = 0
         self.block_ops_downlink = 0

@@ -33,8 +33,8 @@ from .flow import (
     UplinkTable,
     new_bidf,
 )
-from .frame import MacsecFrame, is_broadcast
-from .fullenc import FullEncTunnel
+from .frame import BROADCAST_MAC, MacsecFrame, is_broadcast
+from .fullenc import PREFIX_LEN, FullEncTunnel
 from .idf import IdfDownlink
 
 log = logging.getLogger(__name__)
@@ -195,6 +195,7 @@ class SchemeCodec:
 
     def __init__(self, config: GatewayConfig, rand_bytes: Callable[[int], bytes]):
         self.downlink = self.table(config.window)
+        self._rand_bytes = rand_bytes
 
     def peer_state(self, own: str, name: str, secret: bytes) -> tuple:
         return None, None
@@ -247,10 +248,6 @@ class EncCodec(SchemeCodec):
     table = EncTunnel
     needs_announce = True
 
-    def __init__(self, config: GatewayConfig, rand_bytes: Callable[[int], bytes]):
-        super().__init__(config, rand_bytes)
-        self._rand_bytes = rand_bytes
-
     def peer_state(self, own, name, secret):
         return PairKeys(_directional_key(secret, own)), PairKeys(_directional_key(secret, name))
 
@@ -288,8 +285,8 @@ class FullEncCodec(SchemeCodec):
     tag = encap.EncapScheme.FULLENC
 
     def peer_state(self, own, name, secret):
-        send = FullEncTunnel(_directional_key(secret, own), own)
-        return send, FullEncTunnel(_directional_key(secret, name), name)
+        send = FullEncTunnel(_directional_key(secret, own), self._rand_bytes(PREFIX_LEN))
+        return send, FullEncTunnel(_directional_key(secret, name))
 
     def encode(self, frame, raw, entry, targets):
         return [(p.send.encode(raw), [p]) for p in targets]
@@ -344,7 +341,7 @@ class GatewayEngine:
         self.uplink = UplinkTable()
         # casts whose frames wait for an announcement no peer has taken,
         # by base identifier; each tick releases those a flush handed over
-        self._queued: dict[bytes, tuple[UplinkFlowEntry, UplinkCast, bool]] = {}
+        self._queued: dict[bytes, tuple[UplinkFlowEntry, UplinkCast]] = {}
         self._last_hello = 0
 
         self.codec = _CODECS[config.scheme](config, self._rand_bytes)
@@ -425,7 +422,7 @@ class GatewayEngine:
                 sci=sci,
                 an=an,
                 unicast=UplinkCast(new_bidf(self.rng)),
-                broadcast=UplinkCast(new_bidf(self.rng)),
+                broadcast=UplinkCast(new_bidf(self.rng), BROADCAST_MAC),
                 timeout=now + self.config.flow_timeout_us,
             )
             self.uplink.put(entry)
@@ -433,82 +430,78 @@ class GatewayEngine:
                 self._mgmt_out(peer, msg)
         entry.timeout = now + self.config.flow_timeout_us
 
-        broadcast = is_broadcast(frame.dst)
-        if not broadcast and entry.unicast_dst != frame.dst:
-            cast = entry.unicast
-            if entry.unicast_dst is not None:
+        # a broadcast cast is made with BROADCAST_MAC, so only unicast changes
+        cast = entry.broadcast if is_broadcast(frame.dst) else entry.unicast
+        if cast.dst != frame.dst:
+            if cast.dst is not None:
                 # the per-SA entry tracks one unicast destination; a
-                # second one rotates the base identifier to a new flow,
-                # whose far gateway is not learned yet
+                # second one ends the flow and starts a new one, whose
+                # far gateway is not learned yet
                 self._warn("unicast_dst_change")
-                for peer in self._all_peers:
-                    self._mgmt_out(peer, mgmt.MgmtMessage.expire(cast.bidf))
-                self._shed_pending(cast)
+                self._end_cast(cast)
                 cast = UplinkCast(new_bidf(self.rng))
-                entry.remote_gateway = None
             self.uplink.set_unicast(entry, frame.dst, cast)
 
-        cast = entry.broadcast if broadcast else entry.unicast
-        if not cast.announced:
-            # the frame joins the discovery queue; the announcement must
-            # carry the PN of the oldest queued frame so the remote
-            # window covers the whole queue once it drains
-            pending = cast.pending
-            first = not pending
-            pending.append((frame, data))
-            if len(pending) > QUEUE_LIMIT:
-                del pending[0]
-                self._drop("unregistered_queue_overflow")
+        if cast.announced:
+            self._tunnel_frame(frame, data, entry, cast)
+            return
+        # the frame joins the discovery queue
+        pending = cast.pending
+        pending.append((frame, data))
+        if len(pending) > QUEUE_LIMIT:
+            del pending[0]
+            self._drop("unregistered_queue_overflow")
+        key = (mgmt.MgmtKind.FLOW_ANNOUNCE, cast.bidf)
+        msg = cast.announce
+        if msg is None:
             header = HeaderData(dst=frame.dst, src=frame.src, sci=sci, an=an)
-            msg = mgmt.MgmtMessage.announce(cast.bidf, header, pending[0][0].sectag.pn)
-            key = (mgmt.MgmtKind.FLOW_ANNOUNCE, cast.bidf)
-            # a peer whose outbox no longer holds the announcement has it
-            for peer in [p for p in self._all_peers if first or key in p.outbox]:
-                self._mgmt_out(peer, msg)
-            if all(key in box for box in self._boxes):
-                self._queued[cast.bidf] = (entry, cast, broadcast)
-                return
-            self._release(entry, cast, broadcast)
+            msg = cast.announce = mgmt.MgmtMessage.announce(cast.bidf, header, frame.sectag.pn)
+            owed = self._all_peers
         else:
-            self._tunnel_frame(frame, data, entry, broadcast)
+            # the announcement carries the PN of the oldest queued frame so
+            # the remote window covers the whole queue once it drains
+            msg.pn = pending[0][0].sectag.pn
+            # a peer whose outbox no longer holds the announcement has it
+            owed = [p for p in self._all_peers if key in p.outbox]
+        for peer in owed:
+            self._mgmt_out(peer, msg)
+        if all(key in box for box in self._boxes):
+            self._queued[cast.bidf] = (entry, cast)
+            return
+        self._release(entry, cast)
 
-    def _release(self, entry: UplinkFlowEntry, cast: UplinkCast, broadcast: bool) -> None:
+    def _release(self, entry: UplinkFlowEntry, cast: UplinkCast) -> None:
         """A peer has the cast's announcement: tunnel the queued frames."""
         pending = cast.pending
         cast.announced = True
         cast.pending = []
         self._queued.pop(cast.bidf, None)
         for queued, raw in pending:
-            self._tunnel_frame(queued, raw, entry, broadcast)
+            self._tunnel_frame(queued, raw, entry, cast)
         self._learn_from_uplink(pending[-1][0])
 
-    def _shed_pending(self, cast: UplinkCast) -> None:
-        """Count the queued frames of a flow that ends unannounced."""
+    def _end_cast(self, cast: UplinkCast) -> None:
+        """End a flow: peers that may know it get an expire, and its queued
+        frames are dropped."""
+        if cast.announce is not None:
+            for peer in self._all_peers:
+                self._mgmt_out(peer, mgmt.MgmtMessage.expire(cast.bidf))
         self._queued.pop(cast.bidf, None)
         if cast.pending:
             self._drop("unregistered_queue_overflow", len(cast.pending))
 
     def _tunnel_frame(
-        self,
-        frame: MacsecFrame,
-        raw: bytes,
-        entry: UplinkFlowEntry,
-        broadcast: bool,
+        self, frame: MacsecFrame, raw: bytes, entry: UplinkFlowEntry, cast: UplinkCast
     ) -> None:
-        if broadcast or entry.remote_gateway is None:
-            targets = self._all_peers
-        else:
-            targets = (self.peers[entry.remote_gateway],)
+        gateway = cast.remote_gateway
+        targets = self._all_peers if gateway is None else (self.peers[gateway],)
         if any(self._boxes):
             # a peer that takes the announcement late starts at this PN;
             # if the scheme decodes by flow, it cannot decode the flow's
             # datagrams until then, so it is skipped
-            cast = entry.broadcast if broadcast else entry.unicast
-            key = (mgmt.MgmtKind.FLOW_ANNOUNCE, cast.bidf)
-            for box in self._boxes:
-                if key in box:
-                    box[key].pn = frame.sectag.pn
+            cast.announce.pn = frame.sectag.pn
             if self.codec.needs_announce:
+                key = (mgmt.MgmtKind.FLOW_ANNOUNCE, cast.bidf)
                 targets = [p for p in targets if key not in p.outbox]
 
         bodies = self.codec.encode(frame, raw, entry, targets)
@@ -614,34 +607,28 @@ class GatewayEngine:
         entry = self.uplink.by_unicast_bidf(bidf)
         if entry is None:
             return
-        if entry.remote_gateway not in (None, name):
+        cast = entry.unicast
+        if cast.remote_gateway not in (None, name):
             self._warn("learned_conflict")
-            log.warning(
-                "flow claimed by %s and %s; keeping the newer claim",
-                entry.remote_gateway,
-                name,
-            )
-        entry.remote_gateway = name
+            log.warning("flow claimed by %s and %s; keeping the newer claim", cast.remote_gateway, name)
+        cast.remote_gateway = name
 
     # -- timers ------------------------------------------------------------
 
     def on_timer(self, now: int) -> None:
         for entry in self.uplink.expire(now):
-            for cast in (entry.unicast, entry.broadcast):
-                if cast.announced or cast.pending:
-                    for peer in self._all_peers:
-                        self._mgmt_out(peer, mgmt.MgmtMessage.expire(cast.bidf))
-                self._shed_pending(cast)
+            self._end_cast(entry.unicast)
+            self._end_cast(entry.broadcast)
         if now - self._last_hello >= HELLO_INTERVAL_US:
             self._last_hello = now
             for peer in self._all_peers:
                 self._mgmt_out(peer, mgmt.MgmtMessage.hello())
         for peer in self._all_peers:
             self._flush(peer)
-        for entry, cast, broadcast in list(self._queued.values()):
+        for entry, cast in list(self._queued.values()):
             key = (mgmt.MgmtKind.FLOW_ANNOUNCE, cast.bidf)
             if not all(key in box for box in self._boxes):
-                self._release(entry, cast, broadcast)
+                self._release(entry, cast)
 
     # -- stats ------------------------------------------------------------
 

@@ -28,7 +28,6 @@ from .flow import (
 )
 from .siphash import siphash24_many, siphash24_words
 
-WIRE_SHRINK = 18  # header bytes removed minus the 8-byte identifier
 MIN_BODY = 8 + 2 + 2 + ICV_LEN
 
 REASON_UNKNOWN_IDENTIFIER = "unknown_identifier"

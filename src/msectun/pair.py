@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 
+from .flow import DEFAULT_WINDOW
 from .frame import PlainFrame, Sci, build_macsec, endpoint_protect
 from .gateway import GatewayConfig, GatewayEngine, Scheme
 
@@ -42,7 +43,7 @@ class EnginePair:
     """
 
     def __init__(
-        self, scheme: Scheme, window: int = 64, seed: int = 1, names=("A", "B"), **cfg_kw
+        self, scheme: Scheme, window: int = DEFAULT_WINDOW, seed: int = 1, names=("A", "B"), **cfg_kw
     ):
         self.emitted = {own: [] for own in names}
         self.captured: list[tuple[str, str, bytes]] = []

@@ -17,6 +17,7 @@ import random
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Optional
 
+from .flow import DEFAULT_FLOW_TIMEOUT_US, DEFAULT_WINDOW
 from .frame import (
     BROADCAST_MAC,
     ETHERTYPE_EAPOL,
@@ -143,7 +144,6 @@ class SimDevice:
         self.accepted: list[bytes] = []
         self.icv_failures = 0
         self.parse_failures = 0
-        self.wrong_pn = 0
         self.rollovers = 0
         lan.attach(self.name, self.on_lan_frame)
 
@@ -331,10 +331,10 @@ class ScenarioConfig:
     net: NetModel = field(default_factory=NetModel)
     traffic: list[TrafficSpec] = field(default_factory=list)
     duration_us: int = 10_000_000
-    window: int = 64
+    window: int = DEFAULT_WINDOW
     an_ceiling: int = 1 << 16
     timer_interval_us: int = 1_000_000
-    flow_timeout_us: int = 60_000_000
+    flow_timeout_us: int = DEFAULT_FLOW_TIMEOUT_US
 
     def validate(self) -> None:
         if len(self.lans) < 2:

@@ -1,5 +1,5 @@
 """Flow state: window semantics against a naive set-based oracle,
-classification, binding and expiry."""
+binding and expiry."""
 
 import itertools
 import random
@@ -10,7 +10,6 @@ from msectun.flow import (
     PN_MAX,
     BindMismatch,
     DownlinkFlowEntry,
-    FlowKey,
     HeaderData,
     ReplayWindow,
     UplinkCast,
@@ -18,11 +17,10 @@ from msectun.flow import (
     UplinkTable,
     WindowStatus,
     bind,
-    classify,
     new_bidf,
     unbind,
 )
-from msectun.frame import BROADCAST_MAC, MacsecFrame, SecTag, Sci, Tci
+from msectun.frame import BROADCAST_MAC, Sci
 
 SCI = Sci(b"\x02\x00\x00\x00\x00\x01", 1)
 DST = b"\x02\x00\x00\x00\x00\x02"
@@ -55,32 +53,6 @@ class NaiveWindow:
             self.top += 1
             self.pending.add(self.top)
         return "accept"
-
-
-def _frame(dst=DST, an=0, pn=1, sci=SCI) -> MacsecFrame:
-    return MacsecFrame(
-        dst=dst,
-        src=sci.system_id,
-        sectag=SecTag(tci=Tci(an=an), sl=0, pn=pn, sci=sci),
-        secure_data=bytes(64),
-        icv=bytes(16),
-    )
-
-
-# -- classification ----------------------------------------------------------
-
-
-def test_classify_projection():
-    key = classify(_frame(an=1))
-    assert key == FlowKey(sci=SCI, an=1, dst=DST)
-
-
-def test_classify_unicast_vs_broadcast_distinct():
-    assert classify(_frame()) != classify(_frame(dst=BROADCAST_MAC))
-
-
-def test_classify_an_distinct():
-    assert classify(_frame(an=0)) != classify(_frame(an=1))
 
 
 # -- window basics -----------------------------------------------------------

@@ -6,15 +6,17 @@ from collections import Counter
 import pytest
 
 from conftest import MAC_A, MAC_B, SCI_A, SCI_B, protect
-from msectun.encap import EncapScheme, encap
+from msectun.encap import EncapScheme, decap, encap
 from msectun.flow import HeaderData
 from msectun.frame import BROADCAST_MAC, Sci
+from msectun.fullenc import NONCE_LEN
 from msectun.gateway import (
     DROP_REASONS,
     HELLO_INTERVAL_US,
     MKA_SLOTS,
     QUEUE_LIMIT,
     GatewayConfig,
+    GatewayEngine,
     Scheme,
 )
 from msectun.mgmt import MgmtKind, MgmtMessage, decode_message, encode_message
@@ -42,10 +44,10 @@ def test_learning_narrows_targets(scheme):
     raw = protect(MAC_B, MAC_A, SCI_A, 1)
     pair.lan_a(raw)
     entry = pair.a.uplink.get(SCI_A, 0)
-    assert entry.remote_gateway is None  # not learned yet
+    assert entry.unicast.remote_gateway is None  # not learned yet
     reply = protect(MAC_A, MAC_B, SCI_B, 1)
     pair.lan_b(reply)
-    assert entry.remote_gateway == "B"
+    assert entry.unicast.remote_gateway == "B"
 
 
 def test_non_macsec_dropped():
@@ -122,7 +124,7 @@ def test_unicast_dst_change_rotates_flow():
     pair.lan_a(raw2)
     entry = pair.a.uplink.get(SCI_A, 0)
     assert entry.unicast.bidf != old_bidf
-    assert entry.unicast_dst == other_dst
+    assert entry.unicast.dst == other_dst
     assert pair.a.snapshot_stats().warnings["unicast_dst_change"] == 1
     assert pair.emitted["B"][-1] == raw2  # still delivered, fresh flow
 
@@ -166,12 +168,12 @@ def _check_indexes(gw):
     assert {b: id(e) for b, e in gw.uplink._by_bidf.items()} == {
         e.unicast.bidf: id(e) for e in up
     }
-    dsts = Counter((e.sci.system_id, e.unicast_dst) for e in up if e.unicast_dst is not None)
+    dsts = Counter((e.sci.system_id, e.unicast.dst) for e in up if e.unicast.dst is not None)
     assert gw.uplink._dst_count == dict(dsts)
     for e in up:
         assert gw.uplink.by_unicast_bidf(e.unicast.bidf) is e
-        if e.unicast_dst is not None:
-            assert gw.uplink.has_unicast(e.sci.system_id, e.unicast_dst)
+        if e.unicast.dst is not None:
+            assert gw.uplink.has_unicast(e.sci.system_id, e.unicast.dst)
 
     down = gw.codec.downlink
     scan = {}
@@ -214,7 +216,7 @@ def test_indexes_match_full_scans(scheme):
             send[side](protect(dst, src, Sci(src, 1), pn[src, an[src]], an=an[src]))
         for gw in (pair.a, pair.b):
             _check_indexes(gw)
-            seen["learned"] += sum(e.remote_gateway is not None for e in gw.uplink.entries())
+            seen["learned"] += sum(e.unicast.remote_gateway is not None for e in gw.uplink.entries())
     # the sequence reached learning, destination changes and expiry
     seen.update(pair.a.snapshot_stats().warnings)
     assert seen["learned"] and seen["unicast_dst_change"] and seen["expired"], seen
@@ -271,9 +273,9 @@ def test_learned_conflict_warns_last_writer_wins():
     pair.lan_a(raw)
     entry = pair.a.uplink.get(SCI_A, 0)
     pair.a.on_mgmt_message(MgmtMessage.learned(entry.unicast.bidf), "B", now=0)
-    assert entry.remote_gateway == "B"
+    assert entry.unicast.remote_gateway == "B"
     pair.a.on_mgmt_message(MgmtMessage.learned(entry.unicast.bidf), "C", now=0)
-    assert entry.remote_gateway == "C"
+    assert entry.unicast.remote_gateway == "C"
     assert pair.a.snapshot_stats().warnings["learned_conflict"] == 1
 
 
@@ -457,6 +459,27 @@ def test_sa_expired_before_its_announcement_leaves_no_far_flow(scheme):
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
+def test_dst_change_before_its_announcement_leaves_only_the_new_flow(scheme):
+    """The other way a flow ends: a new unicast destination while B refuses."""
+    pair = EnginePair(scheme)
+    refusing = {"B"}
+    _refuse(pair.a, refusing)
+    pair.lan_a(protect(MAC_B, MAC_A, SCI_A, 1))
+    pair.lan_a(protect(MAC_B, MAC_A, SCI_A, 2))
+    other_dst = b"\x02\xcc\x00\x00\x00\x01"
+    fresh = protect(other_dst, MAC_A, SCI_A, 3)
+    pair.lan_a(fresh)
+    assert pair.a.snapshot_stats().drops == Counter(unregistered_queue_overflow=2)
+    refusing.clear()
+    pair.a.on_timer(pair.now)
+    flows = pair.b.codec.downlink.flows
+    assert list(flows) == [pair.a.uplink.get(SCI_A, 0).unicast.bidf]
+    assert [f.header.dst for f in flows.values()] == [other_dst]
+    assert pair.emitted["B"] == [fresh]
+    assert pair.b.snapshot_stats().dropped() == 0
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
 def test_refusing_peer_is_owed_one_message_per_key(scheme):
     """50 frames and 5 HELLOs refused: one announcement and one HELLO wait."""
     pair = EnginePair(scheme)
@@ -570,3 +593,26 @@ def test_hello_liveness():
     pair.now = 2 * HELLO_INTERVAL_US
     pair.a.on_timer(now=pair.now)
     assert pair.b.peers["A"].last_hello == 2 * HELLO_INTERVAL_US
+
+
+def _first_fullenc_body(rng):
+    """The first tunnel body of a fresh fullenc gateway A that sends one frame."""
+    sent = []
+    gw = GatewayEngine(
+        GatewayConfig(own_id="A", peers=["B"], scheme=Scheme.FULLENC),
+        lambda peer, dg: sent.append(decap(dg)[1]),
+        lambda peer, data: True,
+        lambda frame: None,
+        rng=rng,
+    )
+    gw.on_lan_frame(protect(MAC_B, MAC_A, SCI_A, 1), now=0)
+    return sent[0]
+
+
+def test_fullenc_restart_does_not_reuse_a_nonce():
+    """Same config and key, two boots: the first nonces differ, and a
+    seeded random source still makes runs repeatable."""
+    first, restarted = _first_fullenc_body(None), _first_fullenc_body(None)
+    assert first[:NONCE_LEN] != restarted[:NONCE_LEN]
+    assert len(first) == len(restarted)
+    assert _first_fullenc_body(random.Random(7)) == _first_fullenc_body(random.Random(7))

@@ -57,10 +57,9 @@ def _uplink_entry(rng=None, an=0):
     return UplinkFlowEntry(
         sci=SCI,
         an=an,
-        unicast=UplinkCast(new_bidf(rng)),
+        unicast=UplinkCast(new_bidf(rng), DST),
         broadcast=UplinkCast(new_bidf(rng)),
         timeout=1 << 60,
-        unicast_dst=DST,
     )
 
 
@@ -196,8 +195,8 @@ def test_wire_opacity_no_sensitive_substrings():
     sci = Sci(b"\xa1\xa2\xa3\xa4\xa5\xa6", 0xB1B2)
     dst = b"\xc1\xc2\xc3\xc4\xc5\xc6"
     entry = UplinkFlowEntry(
-        sci=sci, an=0, unicast=UplinkCast(b"\x11" * 16), broadcast=UplinkCast(b"\x22" * 16),
-        timeout=1 << 60, unicast_dst=dst,
+        sci=sci, an=0, unicast=UplinkCast(b"\x11" * 16, dst), broadcast=UplinkCast(b"\x22" * 16),
+        timeout=1 << 60,
     )
     for pn in (0xD1D2D3D4, 0xD5D6D7D8):
         f = endpoint_protect(

@@ -222,6 +222,52 @@ def test_gw_cli_window(tmp_path, monkeypatch, capsys, json_window, flag, expect)
         assert config.window == expect
 
 
+_PEER = {"tunnel": "127.0.0.1:1", "mgmt": "127.0.0.1:2"}
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        (json.dumps({"peers": {"gwY": _PEER}}), "own_id: missing 'own_id'"),
+        (json.dumps({"own_id": "gwX"}), "peers: missing 'peers'"),
+        (json.dumps({"own_id": "gwX", "peers": {}}), "peers: a gateway needs at least one peer"),
+        (json.dumps({"own_id": "gwX", "peers": {"gwY": {"tunnel": "127.0.0.1:1"}}}),
+         "peers.gwY: missing 'mgmt'"),
+        (json.dumps({"own_id": "gwX", "peers": {"gwY": {"mgmt": "127.0.0.1:2"}}}),
+         "peers.gwY: missing 'tunnel'"),
+        (json.dumps({"own_id": "gwX", "peers": {"gwY": {**_PEER, "mgmt": "127.0.0.1:x"}}}),
+         "peers.gwY: invalid literal"),
+        (json.dumps({"own_id": "gwX", "scheme": "ipsec", "peers": {"gwY": _PEER}}),
+         "scheme: 'ipsec' is not a valid Scheme"),
+        (json.dumps({"own_id": "gwX", "peers": {"gwY": _PEER}, "pair_secrets": {"gwY": "zz"}}),
+         "pair_secrets: non-hexadecimal"),
+        (json.dumps({"own_id": "gwX", "peers": {"gwX": _PEER, "gwY": _PEER}}),
+         "peers: own id listed as peer"),
+        (None, "--config: [Errno 2]"),
+        ('{"own_id": "gwX",', "--config: Expecting"),
+        ("[]", "--config: not a JSON object"),
+    ],
+    ids=[
+        "no-own-id", "no-peers", "empty-peers", "peer-no-mgmt", "peer-no-tunnel", "bad-port",
+        "unknown-scheme", "non-hex-secret", "own-id-as-peer", "unreadable", "not-json",
+        "not-an-object",
+    ],
+)
+def test_gw_cli_bad_config_is_a_usage_error(tmp_path, monkeypatch, capsys, text, error):
+    from msectun import cli
+
+    path = tmp_path / "gw.json"
+    if text is not None:
+        path.write_text(text)
+    _StubRunner.configs = []
+    monkeypatch.setattr(cli, "GatewayRunner", _StubRunner)
+    with pytest.raises(SystemExit) as exc:
+        cli.gw_main(["--config", str(path)])
+    assert exc.value.code == 2
+    assert f"error: {error}" in capsys.readouterr().err
+    assert _StubRunner.configs == []
+
+
 def test_stats_interval_dump():
     runners, ports = _runner_pair(Scheme.NAIVE)
     lines = []
