@@ -9,16 +9,24 @@ for every scheme.
 Absolute numbers are hardware- and runtime-bound; the quantity of
 interest is the relative ordering of the schemes and their exact
 per-frame overheads and crypto-operation counts.
+
+``run_table_sweep`` measures the identifier table alone against its
+flow count: memory per identifier held and set-up time per flow.
 """
 
 from __future__ import annotations
 
+import gc
+import random
 import time
+import tracemalloc
 from dataclasses import dataclass
+from typing import Optional
 
-from .flow import DEFAULT_WINDOW
+from .flow import DEFAULT_WINDOW, HeaderData, new_bidf
 from .frame import Sci
 from .gateway import Scheme
+from .idf import IdfDownlink
 from .pair import EnginePair, seal
 
 MIN_FRAME_SIZE = 50  # smallest sweepable frame: 46 bytes of MACsec framing, payload 4
@@ -169,3 +177,102 @@ def run_bench(
         _warm_pair(scheme, size, window)
     per_cell = seconds / len(schemes)
     return [run_bench_cell(scheme, size, per_cell, window) for scheme, size in cells]
+
+
+# -- identifier table against flow count -----------------------------------
+
+_TABLE_START_PN = 1000
+# bytes per identifier assumed before one is measured, and the share of
+# available memory a traced build may take
+_TABLE_GUESS_BYTES = 256
+_TABLE_MEMORY_SHARE = 0.5
+
+
+@dataclass
+class TableResult:
+    flows: int
+    identifiers: int = 0
+    bytes_per_id: float = 0.0
+    register_us: float = 0.0
+    # why the size was not built, if it was not
+    skipped: str = ""
+
+    CSV_COLUMNS = "flows,identifiers,bytes_per_id,register_us,skipped"
+
+    def csv_row(self) -> str:
+        if self.skipped:
+            return f"{self.flows},,,,{self.skipped}"
+        return (
+            f"{self.flows},{self.identifiers},{self.bytes_per_id:.1f},"
+            f"{self.register_us:.1f},"
+        )
+
+
+def _build_table(flows: int, window: int) -> tuple[IdfDownlink, float]:
+    """An ``IdfDownlink(window)`` of ``flows`` unicast flows announced at
+    ``_TABLE_START_PN``, and the seconds spent in ``register``."""
+    rng = random.Random(flows)
+    table = IdfDownlink(window)
+    spent = 0.0
+    for i in range(flows):
+        src = (0x020000000000 + i).to_bytes(6, "big")
+        header = HeaderData(_DST, src, Sci(src, 1), 0)
+        bidf = new_bidf(rng)
+        t0 = time.perf_counter()
+        table.register(bidf, header, _TABLE_START_PN)
+        spent += time.perf_counter() - t0
+    return table, spent
+
+
+def _available_bytes() -> Optional[int]:
+    """MemAvailable from ``/proc/meminfo``, or None where there is none."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
+
+
+def run_table_sweep(flow_counts: list[int], window: int = DEFAULT_WINDOW) -> list[TableResult]:
+    """The identifier table alone at each flow count, in ascending order.
+
+    Each count is built twice: once timed, for the register cost per
+    flow, and once under tracemalloc, for the bytes each held identifier
+    costs with its flow records (announced header, window, ring).  A
+    count is skipped when its traced build, projected from the last
+    measured bytes per identifier, would take more than half of the
+    memory available.
+    """
+    results = []
+    per_id = _TABLE_GUESS_BYTES
+    for flows in sorted(flow_counts):
+        available = _available_bytes()
+        need = int(2 * flows * window * per_id)
+        if available is not None and need > _TABLE_MEMORY_SHARE * available:
+            results.append(TableResult(
+                flows,
+                skipped=f"needs about {need >> 20} MiB of {available >> 20} MiB available",
+            ))
+            continue
+        gc.collect()
+        table, spent = _build_table(flows, window)
+        del table
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table, _ = _build_table(flows, window)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        per_id = grown / len(table.ids)
+        results.append(TableResult(flows, len(table.ids), per_id, spent / flows * 1e6))
+        del table
+    return results
+
+
+def table_csv(results: list[TableResult]) -> str:
+    return "\n".join([TableResult.CSV_COLUMNS] + [r.csv_row() for r in results]) + "\n"

@@ -6,9 +6,10 @@ import argparse
 import json
 import sys
 import time
+from typing import Optional
 
 from . import encap, mgmt
-from .bench import results_csv, run_bench
+from .bench import results_csv, run_bench, run_table_sweep, table_csv
 from .flow import DEFAULT_WINDOW
 from .gateway import GatewayConfig, Scheme
 from .netio import GatewayRunner, PeerEndpoints, parse_hostport
@@ -20,6 +21,15 @@ def _load_gw_config(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ValueError("not a JSON object")
     return raw
+
+
+def _parse_lan_if(spec: str) -> tuple[tuple[str, int], Optional[tuple[str, int]]]:
+    """``udp:host:port[:peerhost:peerport]`` as (listen address, peer or None)."""
+    parts = spec.split(":")
+    if parts[0] != "udp" or len(parts) not in (3, 5):
+        raise ValueError("only udp:host:port[:peerhost:peerport] LAN attachments are supported")
+    peer = (parts[3], int(parts[4])) if len(parts) == 5 else None
+    return (parts[1], int(parts[2])), peer
 
 
 def gw_main(argv=None) -> int:
@@ -61,22 +71,25 @@ def gw_main(argv=None) -> int:
         config = GatewayConfig(
             own_id, list(peers), scheme=scheme, window=window, pair_secrets=pair_secrets
         )
+        key = "--tun-listen" if args.tun_listen else "tun_listen"
+        tun_listen = parse_hostport(
+            args.tun_listen or raw.get("tun_listen", f"127.0.0.1:{encap.DEFAULT_TUNNEL_PORT}")
+        )
+        key = "--mgmt-listen" if args.mgmt_listen else "mgmt_listen"
+        mgmt_listen = parse_hostport(
+            args.mgmt_listen or raw.get("mgmt_listen", f"127.0.0.1:{mgmt.DEFAULT_MGMT_PORT}")
+        )
+        key = "--lan-if" if args.lan_if else "lan_if"
+        lan_listen, lan_peer = _parse_lan_if(args.lan_if or raw.get("lan_if", "udp:127.0.0.1:0"))
     except KeyError as e:
         parser.error(f"{key}: missing {e}")
     except (AttributeError, TypeError, ValueError) as e:
         parser.error(f"{key}: {e}")
 
-    lan_spec = args.lan_if or raw.get("lan_if", "udp:127.0.0.1:0")
-    parts = lan_spec.split(":")
-    if parts[0] != "udp":
-        parser.error("only udp:host:port[:peerhost:peerport] LAN attachments are supported")
-    lan_listen = (parts[1], int(parts[2]))
-    lan_peer = (parts[3], int(parts[4])) if len(parts) >= 5 else None
-
     runner = GatewayRunner(
         config,
-        tun_listen=parse_hostport(args.tun_listen or raw.get("tun_listen", f"127.0.0.1:{encap.DEFAULT_TUNNEL_PORT}")),
-        mgmt_listen=parse_hostport(args.mgmt_listen or raw.get("mgmt_listen", f"127.0.0.1:{mgmt.DEFAULT_MGMT_PORT}")),
+        tun_listen=tun_listen,
+        mgmt_listen=mgmt_listen,
         lan_listen=lan_listen,
         lan_peer=lan_peer,
         peer_endpoints=peers,
@@ -107,6 +120,11 @@ def bench_main(argv=None) -> int:
     )
     parser.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     parser.add_argument("--out", default="-", help="CSV output path ('-' = stdout)")
+    parser.add_argument(
+        "--table-flows",
+        help="comma-separated flow counts: measure the idf identifier table alone "
+        "at each count instead of the scheme sweep",
+    )
     args = parser.parse_args(argv)
 
     try:
@@ -117,12 +135,22 @@ def bench_main(argv=None) -> int:
         parser.error("--schemes: no scheme given")
     if args.window < 1:
         parser.error("--window: window size must be >= 1")
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-        results = run_bench(schemes, sizes, args.secs, args.window)
-    except ValueError as e:
-        parser.error(f"--sizes: {e}")
-    csv = results_csv(results)
+    if args.table_flows is not None:
+        try:
+            counts = [int(s) for s in args.table_flows.split(",") if s.strip()]
+        except ValueError as e:
+            parser.error(f"--table-flows: {e}")
+        if not counts or min(counts) < 1:
+            parser.error("--table-flows: flow counts must be integers >= 1")
+        results = run_table_sweep(counts, args.window)
+        csv = table_csv(results)
+    else:
+        try:
+            sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+            results = run_bench(schemes, sizes, args.secs, args.window)
+        except ValueError as e:
+            parser.error(f"--sizes: {e}")
+        csv = results_csv(results)
     if args.out == "-":
         sys.stdout.write(csv)
     else:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import secrets
+from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -137,7 +138,7 @@ class UplinkCast:
     pending: list[tuple[MacsecFrame, bytes]] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class UplinkFlowEntry:
     """Per-SA uplink state, keyed by (SCI, AN) in the uplink table."""
 
@@ -151,7 +152,7 @@ class UplinkFlowEntry:
         return self.broadcast if is_broadcast(dst) else self.unicast
 
 
-@dataclass
+@dataclass(slots=True)
 class HeaderData:
     """Everything needed to rebuild the sensitive fields of a flow."""
 
@@ -173,7 +174,7 @@ class HeaderData:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class DownlinkFlowEntry:
     # compare entries with ``is``: ``==`` can recurse through ``bound``
     bidf: bytes
@@ -183,9 +184,11 @@ class DownlinkFlowEntry:
     origin: str = ""
     # a learned notice for this flow went back to its origin
     learned: bool = False
-    # identifier-scheme bookkeeping: pn -> ridf for the entries this
-    # flow currently owns in the identifier table
-    ids: dict[int, int] = field(default_factory=dict)
+    # identifier-scheme ring of the identifiers this flow holds: slot
+    # ``pn % (2 * window)`` keeps the 8-byte identifier in ``ring`` and
+    # the PN in ``ring_pns``, where 0 marks an empty slot
+    ring: Optional[bytearray] = None
+    ring_pns: Optional[array] = None
 
 
 @dataclass

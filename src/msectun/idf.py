@@ -14,6 +14,7 @@ source, EtherType, PN, SCI and AN never appear on the wire.
 from __future__ import annotations
 
 import struct
+from array import array
 from typing import Optional
 
 from .frame import ETHERTYPE_MACSEC, ICV_LEN, MacsecFrame
@@ -37,6 +38,8 @@ REASON_MALFORMED = "malformed"
 
 
 _BIDF_WORDS = struct.Struct("<QQ")
+# an identifier as it travels and as a flow's ring holds it
+_RIDF = struct.Struct(">Q")
 
 
 def derive_ridf(bidf: bytes, pn: int) -> int:
@@ -86,10 +89,19 @@ class IdfDownlink(DownlinkFlows):
     """Downlink flow and identifier tables plus the decode path.
 
     Flows are keyed by base identifier, as in the core table.  The
-    identifier table ``ids`` maps each rotating identifier to its
-    ``(flow, pn)``, and always holds every PN covered by each flow's
+    identifier table ``ids`` maps each rotating identifier to the flow
+    that holds it, and always holds every PN covered by each flow's
     window; the window tells consumed PNs apart, so replays stay
     classifiable until they slide out of the covered range.
+
+    Each flow holds its identifiers in a ring of ``2 * window`` slots:
+    PN ``p`` sits in slot ``p % (2 * window)``, its identifier as 8
+    big-endian bytes in ``flow.ring`` and its PN in ``flow.ring_pns``
+    (0 marks an empty slot; PN 0 is never valid).  The window's covered
+    range spans at most ``2 * window - 1`` PNs, so no two held PNs share
+    a slot.  Decode finds an identifier's PN by searching the ring for
+    the wire's 8 identifier bytes, so no object is kept per identifier
+    beyond its key in ``ids``.
 
     Identifiers are derived where they enter the table: ``_refill``
     (register, window reset, bind) derives a flow's missing PNs in one
@@ -100,7 +112,7 @@ class IdfDownlink(DownlinkFlows):
 
     def __init__(self, window_size: int = DEFAULT_WINDOW):
         super().__init__(window_size)
-        self.ids: dict[int, tuple[DownlinkFlowEntry, int]] = {}
+        self.ids: dict[int, DownlinkFlowEntry] = {}
         self.hash_calls = 0
         self.ridf_collisions = 0
 
@@ -109,20 +121,22 @@ class IdfDownlink(DownlinkFlows):
     def _insert_id(self, flow: DownlinkFlowEntry, pn: int, ridf: int) -> None:
         # every derived identifier comes here once: count its hash
         self.hash_calls += 1
-        existing = self.ids.get(ridf)
-        if existing is not None and (existing[0] is not flow or existing[1] != pn):
-            # cross-flow collision: keep the older entry, count the event
-            self.ridf_collisions += 1
+        slot = pn % len(flow.ring_pns)
+        owner = self.ids.get(ridf)
+        if owner is not None:
+            if owner is not flow or flow.ring_pns[slot] != pn:
+                # collision: keep the older entry, count the event
+                self.ridf_collisions += 1
             return
-        self.ids[ridf] = (flow, pn)
-        flow.ids[pn] = ridf
+        self.ids[ridf] = flow
+        _RIDF.pack_into(flow.ring, slot << 3, ridf)
+        flow.ring_pns[slot] = pn
 
-    def _drop_id(self, flow: DownlinkFlowEntry, pn: int) -> None:
-        ridf = flow.ids.pop(pn, None)
-        if ridf is not None:
-            ent = self.ids.get(ridf)
-            if ent is not None and ent[0] is flow:
-                del self.ids[ridf]
+    def _drop_slot(self, flow: DownlinkFlowEntry, slot: int) -> None:
+        ridf = _RIDF.unpack_from(flow.ring, slot << 3)[0]
+        flow.ring_pns[slot] = 0
+        if self.ids.get(ridf) is flow:
+            del self.ids[ridf]
 
     def _find(self, bidf: bytes, header: HeaderData) -> Optional[DownlinkFlowEntry]:
         entry = self.flows.get(bidf)
@@ -133,8 +147,9 @@ class IdfDownlink(DownlinkFlows):
         return entry
 
     def _forget(self, flow: DownlinkFlowEntry) -> None:
-        for pn in list(flow.ids):
-            self._drop_id(flow, pn)
+        for slot, pn in enumerate(flow.ring_pns):
+            if pn:
+                self._drop_slot(flow, slot)
 
     def _refill(self, flow: DownlinkFlowEntry) -> None:
         """Drop the identifiers the window left; hash only the PNs it lacks.
@@ -144,11 +159,17 @@ class IdfDownlink(DownlinkFlows):
         entry as one scalar hash per PN would; ``hash_calls`` still
         grows by one per identifier derived.
         """
+        if flow.ring_pns is None:
+            slots = 2 * self.window_size
+            flow.ring = bytearray(8 * slots)
+            flow.ring_pns = array("I", [0]) * slots
         floor, top = flow.window.floor, flow.window.top
-        ids = flow.ids
-        for pn in [p for p in ids if p < floor or p > top]:
-            self._drop_id(flow, pn)
-        missing = [pn for pn in range(floor, top + 1) if pn not in ids]
+        pns = flow.ring_pns
+        for slot, pn in enumerate(pns):
+            if pn and (pn < floor or pn > top):
+                self._drop_slot(flow, slot)
+        slots = len(pns)
+        missing = [pn for pn in range(floor, top + 1) if pns[pn % slots] != pn]
         for pn, ridf in zip(missing, derive_ridfs(flow.bidf, missing)):
             self._insert_id(flow, pn, ridf)
 
@@ -164,10 +185,20 @@ class IdfDownlink(DownlinkFlows):
         if len(body) < MIN_BODY:
             return DecodeResult(reason=REASON_MALFORMED)
         ridf, tci_flags, sl = struct.unpack_from(">QBB", body)
-        ident = self.ids.get(ridf)
-        if ident is None:
+        flow = self.ids.get(ridf)
+        if flow is None:
             return DecodeResult(reason=REASON_UNKNOWN_IDENTIFIER)
-        flow, pn = ident
+        # the flow holds the identifier in exactly one slot: the
+        # slot-aligned copy of its bytes whose PN tag is set
+        ring, pns = flow.ring, flow.ring_pns
+        needle = body[:8]
+        at = ring.find(needle)
+        while at >= 0 and (at & 7 or not pns[at >> 3]):
+            at = ring.find(needle, at + 1)
+        if at < 0:
+            # only a table that fails ``audit`` gets here
+            return DecodeResult(reason=REASON_UNKNOWN_IDENTIFIER)
+        pn = pns[at >> 3]
         window = flow.window
         if window.is_seen(pn):
             return DecodeResult(reason=REASON_REPLAY)
@@ -180,8 +211,12 @@ class IdfDownlink(DownlinkFlows):
             return DecodeResult(reason=status.value)
         flows = (flow,) if flow.bound is None else (flow, flow.bound)
         for fl in flows:
+            fl_pns = fl.ring_pns
+            slots = len(fl_pns)
             for p in range(old_floor, window.floor):
-                self._drop_id(fl, p)
+                slot = p % slots
+                if fl_pns[slot] == p:
+                    self._drop_slot(fl, slot)
             for p in range(old_top + 1, window.top + 1):
                 self._insert_id(fl, p, derive_ridf(fl.bidf, p))
 
@@ -197,18 +232,29 @@ class IdfDownlink(DownlinkFlows):
 
     # -- test support --------------------------------------------------------
 
+    def held(self, flow: DownlinkFlowEntry) -> dict[int, int]:
+        """The identifiers ``flow`` holds, as ``{pn: ridf}``."""
+        return {
+            pn: _RIDF.unpack_from(flow.ring, slot << 3)[0]
+            for slot, pn in enumerate(flow.ring_pns)
+            if pn
+        }
+
     def audit(self) -> None:
         """Assert identifier-table coherence against every flow window."""
         owned = 0
         for flow in self.flows.values():
+            slots = len(flow.ring_pns)
+            assert slots == 2 * self.window_size and len(flow.ring) == 8 * slots
+            held = self.held(flow)
             covered = set(range(flow.window.floor, flow.window.top + 1))
-            assert set(flow.ids) <= covered, "entry outside window range"
-            missing = covered - set(flow.ids)
+            assert set(held) <= covered, "entry outside window range"
+            missing = covered - set(held)
             # entries may be missing only through cross-flow collisions
             assert len(missing) <= self.ridf_collisions
-            for pn, ridf in flow.ids.items():
-                owner, owned_pn = self.ids[ridf]
-                assert owner is flow and owned_pn == pn
+            for pn, ridf in held.items():
+                assert flow.ring_pns[pn % slots] == pn, "PN in the wrong slot"
+                assert self.ids[ridf] is flow
                 assert ridf == derive_ridf(flow.bidf, pn)
                 owned += 1
         assert owned == len(self.ids), "orphan identifier entries"

@@ -40,7 +40,7 @@ class MgmtError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class MgmtMessage:
     kind: MgmtKind
     bidf: bytes = b""

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from msectun import bench
-from msectun.bench import BenchResult, results_csv, run_bench, run_bench_cell
+from msectun.bench import BenchResult, TableResult, results_csv, run_bench, run_bench_cell
 from msectun.cli import bench_main
 from msectun.gateway import Scheme
 
@@ -80,8 +80,11 @@ def test_csv_output_shape():
         (["--schemes", "foo"], "error: --schemes: 'foo'"),
         (["--schemes", ","], "error: --schemes: no scheme given"),
         (["--window", "0"], "error: --window: window size must be >= 1"),
+        (["--table-flows", "1,0"], "error: --table-flows: flow counts must be integers >= 1"),
+        (["--table-flows", "1k"], "error: --table-flows: invalid literal"),
     ],
-    ids=["below-min-size", "too-large-for-scheme", "unknown-scheme", "no-scheme", "no-window"],
+    ids=["below-min-size", "too-large-for-scheme", "unknown-scheme", "no-scheme", "no-window",
+         "no-table-flows", "bad-table-flows"],
 )
 def test_unusable_sizes_are_usage_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -102,3 +105,21 @@ def test_unusable_size_fails_before_timing(capsys):
     assert out == ""
     assert "error: --sizes: fullenc delivers no 1449-byte frame" in err
     assert wall < 3
+
+
+def test_table_sweep_reports_each_flow_count(capsys):
+    assert bench_main(["--table-flows", "3,1", "--window", "8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == TableResult.CSV_COLUMNS
+    rows = [line.split(",") for line in lines[1:]]
+    # ascending flow counts, one identifier per window PN of each flow
+    assert [(r[0], r[1]) for r in rows] == [("1", "8"), ("3", "24")]
+    assert all(float(r[2]) > 0 and float(r[3]) > 0 and r[4] == "" for r in rows)
+
+
+def test_table_sweep_skips_a_count_that_does_not_fit(monkeypatch):
+    monkeypatch.setattr(bench, "_available_bytes", lambda: 1 << 20)
+    small, large = bench.run_table_sweep([1, 1000], window=8)
+    assert small.identifiers == 8 and not small.skipped
+    assert large.identifiers == 0 and large.skipped.startswith("needs about")
+    assert large.csv_row() == f"1000,,,,{large.skipped}"

@@ -262,9 +262,10 @@ def test_duplicate_announce_is_idempotent():
             1,
         )
     )
-    before = dict(pair.b.idf_downlink.flows[entry.unicast.bidf].ids)
+    downlink = pair.b.idf_downlink
+    before = downlink.held(downlink.flows[entry.unicast.bidf])
     pair.b.on_mgmt_bytes(msg, "A", now=0)
-    assert pair.b.idf_downlink.flows[entry.unicast.bidf].ids == before
+    assert downlink.held(downlink.flows[entry.unicast.bidf]) == before
 
 
 def test_learned_conflict_warns_last_writer_wins():

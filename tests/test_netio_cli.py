@@ -246,11 +246,17 @@ _PEER = {"tunnel": "127.0.0.1:1", "mgmt": "127.0.0.1:2"}
         (None, "--config: [Errno 2]"),
         ('{"own_id": "gwX",', "--config: Expecting"),
         ("[]", "--config: not a JSON object"),
+        (json.dumps({"own_id": "gwX", "peers": {"gwY": _PEER}, "tun_listen": "127.0.0.1:x"}),
+         "tun_listen: invalid literal"),
+        (json.dumps({"own_id": "gwX", "peers": {"gwY": _PEER}, "mgmt_listen": "127.0.0.1:"}),
+         "mgmt_listen: invalid literal"),
+        (json.dumps({"own_id": "gwX", "peers": {"gwY": _PEER}, "lan_if": "udp"}),
+         "lan_if: only udp:host:port[:peerhost:peerport]"),
     ],
     ids=[
         "no-own-id", "no-peers", "empty-peers", "peer-no-mgmt", "peer-no-tunnel", "bad-port",
         "unknown-scheme", "non-hex-secret", "own-id-as-peer", "unreadable", "not-json",
-        "not-an-object",
+        "not-an-object", "bad-tun-listen", "bad-mgmt-listen", "bad-lan-if",
     ],
 )
 def test_gw_cli_bad_config_is_a_usage_error(tmp_path, monkeypatch, capsys, text, error):
@@ -263,6 +269,36 @@ def test_gw_cli_bad_config_is_a_usage_error(tmp_path, monkeypatch, capsys, text,
     monkeypatch.setattr(cli, "GatewayRunner", _StubRunner)
     with pytest.raises(SystemExit) as exc:
         cli.gw_main(["--config", str(path)])
+    assert exc.value.code == 2
+    assert f"error: {error}" in capsys.readouterr().err
+    assert _StubRunner.configs == []
+
+
+@pytest.mark.parametrize(
+    "flag,value,error",
+    [
+        ("--tun-listen", "127.0.0.1:x", "--tun-listen: invalid literal"),
+        ("--mgmt-listen", "udp", "--mgmt-listen: invalid literal"),
+        ("--lan-if", "udp:127.0.0.1:5001:127.0.0.1", "--lan-if: only udp:host:port"),
+    ],
+    ids=["tun-listen", "mgmt-listen", "lan-if"],
+)
+def test_gw_cli_bad_address_flag_is_a_usage_error(tmp_path, monkeypatch, capsys, flag, value,
+                                                   error):
+    from msectun import cli
+
+    path = tmp_path / "gw.json"
+    path.write_text(json.dumps({"own_id": "gwX", "peers": {"gwY": _PEER}}))
+    _StubRunner.configs = []
+    monkeypatch.setattr(cli, "GatewayRunner", _StubRunner)
+
+    def interrupt(_seconds):
+        raise KeyboardInterrupt
+
+    # a spec that parses runs the gateway loop: end it at once
+    monkeypatch.setattr(cli.time, "sleep", interrupt)
+    with pytest.raises(SystemExit) as exc:
+        cli.gw_main(["--config", str(path), flag, value])
     assert exc.value.code == 2
     assert f"error: {error}" in capsys.readouterr().err
     assert _StubRunner.configs == []
