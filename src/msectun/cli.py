@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import Optional
@@ -46,6 +47,9 @@ def gw_main(argv=None) -> int:
         "--stats-interval", type=float, default=0.0, help="dump counters as CSV every N seconds"
     )
     args = parser.parse_args(argv)
+    if not 0 <= args.stats_interval < math.inf:
+        # a negative interval would dump a row on every engine loop pass
+        parser.error(f"--stats-interval: must be a finite number >= 0, not {args.stats_interval}")
 
     try:
         raw = _load_gw_config(args.config)

@@ -25,16 +25,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .aes import Aes128
-from .frame import ETHERTYPE_MACSEC, ICV_LEN
-from .flow import (
-    DEFAULT_WINDOW,
-    DecodeResult,
-    DownlinkFlowEntry,
-    DownlinkFlows,
-    HeaderData,
-    Sci,
-    WindowStatus,
-)
+from .frame import ETHERTYPE_MACSEC, ICV_LEN, is_broadcast
+from .flow import DEFAULT_WINDOW, DecodeResult, DownlinkFlows, Sci, WindowStatus
 
 HEADER_BYTES = 32  # two cipher blocks
 MIN_FRAME = HEADER_BYTES + ICV_LEN  # needs 4+ bytes of secure data
@@ -118,10 +110,10 @@ class EncTunnel(DownlinkFlows):
     """Uplink encoder and downlink decoder plus flow state.
 
     The core table keys flows by base identifier; decode finds a flow by
-    the decrypted SCI, AN and destination in the core's per-SA index,
-    since the header fields must hit a registered entry and pass its
-    replay window before a frame is released.  An announcement finds its
-    flow the same way, so a re-announced flow keeps its entry and window.
+    the decrypted SCI and AN in the core's SA records and by the
+    destination in the SA's cast slot, since the header fields must hit
+    a registered entry and pass its replay window before a frame is
+    released.
     """
 
     def __init__(self, window_size: int = DEFAULT_WINDOW):
@@ -140,15 +132,6 @@ class EncTunnel(DownlinkFlows):
         return bytes([key.epoch & 0xFF]) + c1 + c2 + raw_frame[32:]
 
     # -- announcements -------------------------------------------------------
-
-    def _flow(self, sci: Sci, an: int, dst: bytes) -> Optional[DownlinkFlowEntry]:
-        for entry in self._by_sa.get((sci, an), ()):
-            if entry.header.dst == dst:
-                return entry
-        return None
-
-    def _find(self, bidf: bytes, header: HeaderData) -> Optional[DownlinkFlowEntry]:
-        return self._flow(header.sci, header.an, header.dst)
 
     # bound on this class, not only inherited, so that each scheme's
     # table upkeep can be timed apart (perfbench/tracing.py)
@@ -171,12 +154,14 @@ class EncTunnel(DownlinkFlows):
             return DecodeResult(reason=REASON_HEADER_MISMATCH)
         an = p1[14] & 0x03
         pn = struct.unpack_from(">I", p2)[0]
-        entry = self._flow(Sci.unpack(p2[4:12]), an, p1[0:6])
-        if entry is None:
+        dst = p1[0:6]
+        sa = self._sas.get(self._sa_key(Sci.unpack(p2[4:12]), an, dst))
+        entry = None if sa is None else sa.broadcast if is_broadcast(dst) else sa.unicast
+        if entry is None or entry.header.dst != dst:
             return DecodeResult(reason=REASON_UNKNOWN_FLOW)
         if entry.header.src != p1[6:12]:
             return DecodeResult(reason=REASON_HEADER_MISMATCH)
-        status = entry.window.accept(pn)
+        status = sa.window.accept(pn)
         if status is not WindowStatus.ACCEPT:
             return DecodeResult(reason=status.value)
         return DecodeResult(frame=p1 + p2 + body[33:])

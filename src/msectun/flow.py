@@ -4,7 +4,9 @@ A flow is unidirectional traffic from one MACsec device to another,
 keyed by (SCI, AN, destination MAC).  The uplink table is keyed by
 (SCI, AN) and holds one unicast and one broadcast ``UplinkCast`` per
 security association: everything the gateway knows of that flow.  The
-downlink flow table is keyed by base identifier; the identifier table
+downlink side mirrors it: one ``DownlinkSa`` per (SCI, AN) holds the
+SA's one replay window and its unicast and broadcast flows, which the
+downlink flow table also keys by base identifier; the identifier table
 is keyed by rotating identifier.
 
 Flow learning looks entries up by three more keys, each kept as an
@@ -33,10 +35,6 @@ if TYPE_CHECKING:
 PN_MAX = 0xFFFFFFFF
 DEFAULT_WINDOW = 64
 DEFAULT_FLOW_TIMEOUT_US = 60_000_000
-
-
-class BindMismatch(ValueError):
-    """Attempt to bind flows that do not share an SA."""
 
 
 def new_bidf(rng=None) -> bytes:
@@ -148,9 +146,6 @@ class UplinkFlowEntry:
     broadcast: UplinkCast
     timeout: int
 
-    def cast(self, dst: bytes) -> UplinkCast:
-        return self.broadcast if is_broadcast(dst) else self.unicast
-
 
 @dataclass(slots=True)
 class HeaderData:
@@ -174,13 +169,13 @@ class HeaderData:
         )
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class DownlinkFlowEntry:
-    # compare entries with ``is``: ``==`` can recurse through ``bound``
+    """One announced flow: a cast of a downlink SA, named by its bidf."""
+
     bidf: bytes
     header: HeaderData
-    window: Optional[ReplayWindow] = None
-    bound: Optional["DownlinkFlowEntry"] = None
+    sa: DownlinkSa
     origin: str = ""
     # a learned notice for this flow went back to its origin
     learned: bool = False
@@ -189,6 +184,20 @@ class DownlinkFlowEntry:
     # the PN in ``ring_pns``, where 0 marks an empty slot
     ring: Optional[bytearray] = None
     ring_pns: Optional[array] = None
+
+
+@dataclass(slots=True, eq=False)
+class DownlinkSa:
+    """One downlink SA, keyed by (SCI, AN): the replay window its casts share.
+
+    A sender's unicast and broadcast frames draw on one PN counter, so
+    the SA's ``unicast`` and ``broadcast`` flows accept against its one
+    ``window`` (the paper's flow binding).
+    """
+
+    window: ReplayWindow
+    unicast: Optional[DownlinkFlowEntry] = None
+    broadcast: Optional[DownlinkFlowEntry] = None
 
 
 @dataclass
@@ -203,137 +212,129 @@ class DecodeResult:
         return self.frame is not None
 
 
-def bind(a: DownlinkFlowEntry, b: DownlinkFlowEntry) -> ReplayWindow:
-    """Couple a unicast/broadcast flow pair so PN state stays shared.
-
-    When the two windows overlap, the one with the lower floor becomes
-    the shared window (it covers the other's start without orphaning
-    in-flight frames below the later announcement's PN); disjoint
-    windows mean the older flow is stale and the newer one wins.  The
-    caller rebuilds identifier entries from the survivor's state.
-    """
-    if a.header.sci != b.header.sci or a.header.an != b.header.an:
-        raise BindMismatch("flows do not share SCI and AN")
-    casts = {is_broadcast(a.header.dst), is_broadcast(b.header.dst)}
-    if casts != {True, False}:
-        raise BindMismatch("need one unicast and one broadcast flow")
-    if a.window is None or b.window is None:
-        raise BindMismatch("both flows must have initialized windows")
-    lo, hi = (a.window, b.window) if a.window.floor <= b.window.floor else (b.window, a.window)
-    shared = lo if lo.top >= hi.floor else hi
-    a.window = shared
-    b.window = shared
-    a.bound = b
-    b.bound = a
-    return shared
-
-
-def unbind(entry: DownlinkFlowEntry) -> None:
-    partner = entry.bound
-    if partner is not None:
-        partner.bound = None
-    entry.bound = None
-
-
 class DownlinkFlows:
-    """Downlink flow table: the flows peers announced, by base identifier.
+    """Downlink flow table: the flows peers announced, one record per SA.
 
-    One core for every scheme.  ``register`` creates a flow and its
-    replay window from an announcement, resets the window when a
-    re-announcement carries a newer PN (the sender restarted), and binds
-    the flow to the opposite-cast flow of the same SA.  ``remove`` undoes
-    all of it, so no index outlives its flow.  ``addressed`` finds flows
-    by header addresses, for flow learning.  The indexes ``_by_sa`` and
-    ``_by_addr`` list the entries of ``flows``; a scheme reads them
-    rather than keeping a copy.  A scheme that finds a re-announced
-    flow by another key overrides ``_find``; one that keeps state per
-    window position overrides ``_refill`` and ``_forget``.  Single-writer:
-    one gateway pipeline owns the instance.
+    One core for every scheme.  ``flows`` keys each flow by base
+    identifier; the flow sits in the unicast or broadcast slot of its
+    SA's ``DownlinkSa``, whose window both slots share.  ``register``
+    applies an announcement to its slot:
+
+    - new SA: a fresh window at the announced PN;
+    - join, the SA holds only the other cast: if the SA's window and a
+      fresh one at the PN overlap, the lower floor is kept (it covers
+      the later announcement's PN without orphaning in-flight frames
+      below it), otherwise the higher; both casts are refilled;
+    - re-announce, the slot holds this bidf: a PN above the window's
+      lowest unseen one resets the window (the sender restarted) and
+      refills both casts;
+    - replace, the slot holds another bidf: the older flow leaves, and a
+      late expire for it finds nothing; the newer takes the slot, and
+      the window follows the re-announce rule.
+
+    A bidf that names a flow in another slot is taken by the newer
+    announcement.  ``remove`` undoes all of it, so no index outlives its
+    flow: the partner keeps the window, and the SA record leaves with
+    its last flow.  ``addressed`` finds flows by header addresses, for
+    flow learning.  A scheme that keeps state per window position
+    overrides ``_refill`` and ``_forget``.  Single-writer: one gateway
+    pipeline owns the instance.
     """
 
-    # a subclass may clear it to show what unbound windows do
+    # a test double may clear it to show what unbound windows do: each
+    # cast then has an SA record, and a window, of its own
     bind_flows = True
 
     def __init__(self, window_size: int = DEFAULT_WINDOW):
         self.window_size = window_size
         self.flows: dict[bytes, DownlinkFlowEntry] = {}
-        self._by_sa: dict[tuple[Sci, int], list[DownlinkFlowEntry]] = {}
+        self._sas: dict[tuple, DownlinkSa] = {}
         # (header dst, header src) -> flows, in ``flows`` order
         self._by_addr: dict[tuple[bytes, bytes], list[DownlinkFlowEntry]] = {}
 
     # -- scheme hooks ------------------------------------------------------
 
-    def _find(self, bidf: bytes, header: HeaderData) -> Optional[DownlinkFlowEntry]:
-        """The flow an announcement refers to, if it is known already."""
-        return self.flows.get(bidf)
-
     def _forget(self, entry: DownlinkFlowEntry) -> None:
         """A flow left the table."""
 
     def _refill(self, entry: DownlinkFlowEntry) -> None:
-        """The flow's window was created, reset or replaced by binding."""
+        """The flow's window was created, reset or joined."""
 
     # -- announcements -----------------------------------------------------
+
+    def _sa_key(self, sci: Sci, an: int, dst: bytes) -> tuple:
+        """The key of the SA record that a flow to ``dst`` belongs to."""
+        if self.bind_flows:
+            return sci, an
+        return sci, an, is_broadcast(dst)
 
     def register(
         self, bidf: bytes, header: HeaderData, pn: int, origin: str = ""
     ) -> DownlinkFlowEntry:
-        """Create (or refresh) a downlink flow from an announcement."""
-        entry = self._find(bidf, header)
+        """Apply an announcement to its SA; returns the flow it names."""
+        slot, other = ("broadcast", "unicast") if is_broadcast(header.dst) else ("unicast", "broadcast")
+        key = self._sa_key(header.sci, header.an, header.dst)
+        sa = self._sas.get(key)
+        held = None if sa is None else getattr(sa, slot)
         clash = self.flows.get(bidf)
-        if clash is not None and clash is not entry:
+        if clash is not None and clash is not held:
             # one base identifier names one flow: the newer announcement wins
             self.remove(bidf)
-        if entry is not None:
+            sa = self._sas.get(key)
+        if held is not None and held.bidf == bidf:
+            entry = held
             entry.origin = origin
-            if entry.bidf != bidf:
-                # re-announced under a new base identifier: a late
-                # expire for the old one must not remove the flow
-                del self.flows[entry.bidf]
-                self.flows[bidf] = entry
-                same_addr = self._by_addr[entry.header.dst, entry.header.src]
-                same_addr.remove(entry)
-                same_addr.append(entry)
-                entry.bidf = bidf
-                entry.learned = False
-            if pn > entry.window.lowest_unseen():
-                # re-announce with a newer PN: sender restarted, reset
-                entry.window.__init__(pn, self.window_size)
+        else:
+            if sa is None:
+                sa = self._sas[key] = DownlinkSa(ReplayWindow(pn, self.window_size))
+            entry = DownlinkFlowEntry(bidf, header, sa, origin)
+            self.flows[bidf] = entry
+            self._by_addr.setdefault((header.dst, header.src), []).append(entry)
+            setattr(sa, slot, entry)
+            if held is not None:
+                self._unlink(held)
+            elif getattr(sa, other) is not None:
+                # of the SA's window and a fresh one at ``pn``, keep the
+                # lower if the two overlap, else the higher
+                window = sa.window
+                if pn <= window.floor:
+                    keep_fresh = min(pn + self.window_size - 1, PN_MAX) >= window.floor
+                else:
+                    keep_fresh = window.top < pn
+                if keep_fresh:
+                    window.__init__(pn, self.window_size)
+                self._refill(getattr(sa, other))
                 self._refill(entry)
-                if entry.bound is not None:
-                    self._refill(entry.bound)
-            return entry
-
-        entry = DownlinkFlowEntry(
-            bidf=bidf,
-            header=header,
-            window=ReplayWindow(pn, self.window_size),
-            origin=origin,
-        )
-        self.flows[bidf] = entry
-        self._by_addr.setdefault((header.dst, header.src), []).append(entry)
-        same_sa = self._by_sa.setdefault((header.sci, header.an), [])
-        if self.bind_flows:
-            for other in same_sa:
-                if is_broadcast(other.header.dst) != is_broadcast(header.dst):
-                    bind(entry, other)
-                    self._refill(other)
-                    break
-        self._refill(entry)
-        same_sa.append(entry)
+                return entry
+        window = sa.window
+        if pn > window.lowest_unseen():
+            window.__init__(pn, self.window_size)
+            self._refill(entry)
+            partner = getattr(sa, other)
+            if partner is not None:
+                self._refill(partner)
+        elif entry is not held:
+            self._refill(entry)
         return entry
 
     def remove(self, bidf: bytes) -> None:
-        entry = self.flows.pop(bidf, None)
+        entry = self.flows.get(bidf)
         if entry is None:
             return
+        self._unlink(entry)
+        sa = entry.sa
+        if sa.unicast is entry:
+            sa.unicast = None
+        else:
+            sa.broadcast = None
+        if sa.unicast is None and sa.broadcast is None:
+            hdr = entry.header
+            del self._sas[self._sa_key(hdr.sci, hdr.an, hdr.dst)]
+
+    def _unlink(self, entry: DownlinkFlowEntry) -> None:
+        """Take a flow out of ``flows`` and the address index."""
+        del self.flows[entry.bidf]
         self._forget(entry)
-        unbind(entry)
-        sa = (entry.header.sci, entry.header.an)
-        same_sa = self._by_sa[sa]
-        same_sa.remove(entry)
-        if not same_sa:
-            del self._by_sa[sa]
         addr = (entry.header.dst, entry.header.src)
         same_addr = self._by_addr[addr]
         same_addr.remove(entry)

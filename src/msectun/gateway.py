@@ -175,9 +175,10 @@ class SchemeCodec:
       announcements register into it and expiries remove from it
     - ``peer_state(own, name, secret)``: the (send, recv) state of one
       peer, from the secret the two gateways share
-    - ``encode(frame, raw, entry, targets)``: the (body, peers) pairs
-      to send for one LAN frame, or None if the frame is too short for
-      the scheme
+    - ``encode(frame, raw, cast, targets)``: the (body, peers) pairs
+      to send for one LAN frame of the flow ``cast`` (a
+      ``flow.UplinkCast``), or None if the frame is too short for the
+      scheme
     - ``decode(body, peer, now)``: a ``DecodeResult``, the frame or a
       drop reason
     - ``needs_announce``: whether ``decode`` needs the flow's
@@ -200,7 +201,7 @@ class SchemeCodec:
     def peer_state(self, own: str, name: str, secret: bytes) -> tuple:
         return None, None
 
-    def encode(self, frame: MacsecFrame, raw: bytes, entry: UplinkFlowEntry, targets):
+    def encode(self, frame: MacsecFrame, raw: bytes, cast: UplinkCast, targets):
         return ((raw, targets),)
 
     def decode(self, body: bytes, peer: Peer, now: int) -> DecodeResult:
@@ -227,8 +228,8 @@ class IdfCodec(SchemeCodec):
         super().__init__(config, rand_bytes)
         self.hash_calls_uplink = 0
 
-    def encode(self, frame, raw, entry, targets):
-        body = idf_mod.uplink_encode(frame, entry)
+    def encode(self, frame, raw, cast, targets):
+        body = idf_mod.uplink_encode(frame, cast.bidf)
         self.hash_calls_uplink += 1
         return ((body, targets),)
 
@@ -251,7 +252,7 @@ class EncCodec(SchemeCodec):
     def peer_state(self, own, name, secret):
         return PairKeys(_directional_key(secret, own)), PairKeys(_directional_key(secret, name))
 
-    def encode(self, frame, raw, entry, targets):
+    def encode(self, frame, raw, cast, targets):
         if len(raw) < ENC_MIN_FRAME:
             return None
         tunnel = self.downlink
@@ -288,7 +289,7 @@ class FullEncCodec(SchemeCodec):
         send = FullEncTunnel(_directional_key(secret, own), self._rand_bytes(PREFIX_LEN))
         return send, FullEncTunnel(_directional_key(secret, name))
 
-    def encode(self, frame, raw, entry, targets):
+    def encode(self, frame, raw, cast, targets):
         return [(p.send.encode(raw), [p]) for p in targets]
 
     def decode(self, body, peer, now):
@@ -341,7 +342,7 @@ class GatewayEngine:
         self.uplink = UplinkTable()
         # casts whose frames wait for an announcement no peer has taken,
         # by base identifier; each tick releases those a flush handed over
-        self._queued: dict[bytes, tuple[UplinkFlowEntry, UplinkCast]] = {}
+        self._queued: dict[bytes, UplinkCast] = {}
         self._last_hello = 0
 
         self.codec = _CODECS[config.scheme](config, self._rand_bytes)
@@ -443,7 +444,7 @@ class GatewayEngine:
             self.uplink.set_unicast(entry, frame.dst, cast)
 
         if cast.announced:
-            self._tunnel_frame(frame, data, entry, cast)
+            self._tunnel_frame(frame, data, cast)
             return
         # the frame joins the discovery queue
         pending = cast.pending
@@ -466,18 +467,18 @@ class GatewayEngine:
         for peer in owed:
             self._mgmt_out(peer, msg)
         if all(key in box for box in self._boxes):
-            self._queued[cast.bidf] = (entry, cast)
+            self._queued[cast.bidf] = cast
             return
-        self._release(entry, cast)
+        self._release(cast)
 
-    def _release(self, entry: UplinkFlowEntry, cast: UplinkCast) -> None:
+    def _release(self, cast: UplinkCast) -> None:
         """A peer has the cast's announcement: tunnel the queued frames."""
         pending = cast.pending
         cast.announced = True
         cast.pending = []
         self._queued.pop(cast.bidf, None)
         for queued, raw in pending:
-            self._tunnel_frame(queued, raw, entry, cast)
+            self._tunnel_frame(queued, raw, cast)
         self._learn_from_uplink(pending[-1][0])
 
     def _end_cast(self, cast: UplinkCast) -> None:
@@ -490,9 +491,7 @@ class GatewayEngine:
         if cast.pending:
             self._drop("unregistered_queue_overflow", len(cast.pending))
 
-    def _tunnel_frame(
-        self, frame: MacsecFrame, raw: bytes, entry: UplinkFlowEntry, cast: UplinkCast
-    ) -> None:
+    def _tunnel_frame(self, frame: MacsecFrame, raw: bytes, cast: UplinkCast) -> None:
         gateway = cast.remote_gateway
         targets = self._all_peers if gateway is None else (self.peers[gateway],)
         if any(self._boxes):
@@ -504,7 +503,7 @@ class GatewayEngine:
                 key = (mgmt.MgmtKind.FLOW_ANNOUNCE, cast.bidf)
                 targets = [p for p in targets if key not in p.outbox]
 
-        bodies = self.codec.encode(frame, raw, entry, targets)
+        bodies = self.codec.encode(frame, raw, cast, targets)
         if bodies is None:
             self._drop("too_short_for_scheme")
             return
@@ -625,10 +624,10 @@ class GatewayEngine:
                 self._mgmt_out(peer, mgmt.MgmtMessage.hello())
         for peer in self._all_peers:
             self._flush(peer)
-        for entry, cast in list(self._queued.values()):
+        for cast in list(self._queued.values()):
             key = (mgmt.MgmtKind.FLOW_ANNOUNCE, cast.bidf)
             if not all(key in box for box in self._boxes):
-                self._release(entry, cast)
+                self._release(cast)
 
     # -- stats ------------------------------------------------------------
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import struct
 from array import array
-from typing import Optional
 
 from .frame import ETHERTYPE_MACSEC, ICV_LEN, MacsecFrame
 from .flow import (
@@ -23,8 +22,6 @@ from .flow import (
     DecodeResult,
     DownlinkFlowEntry,
     DownlinkFlows,
-    HeaderData,
-    UplinkFlowEntry,
     WindowStatus,
 )
 from .siphash import siphash24_many, siphash24_words
@@ -70,14 +67,15 @@ def derive_ridfs(bidf: bytes, pns: list[int]) -> list[int]:
     return siphash24_many([struct.pack(">IIII", pn, pn, pn, pn) for pn in pns], bidf)
 
 
-def uplink_encode(frame: MacsecFrame, entry: UplinkFlowEntry) -> bytes:
+def uplink_encode(frame: MacsecFrame, bidf: bytes) -> bytes:
     """Swap sensitive headers for the rotating identifier.
 
-    Payload and ICV are copied untouched; the caller picks up the
-    per-destination-class base identifier from the uplink entry.
+    Payload and ICV are copied untouched; ``bidf`` is the base
+    identifier of the frame's flow, the unicast or broadcast cast of its
+    SA that the caller picked.
     """
     tag = frame.sectag
-    ridf = derive_ridf(entry.cast(frame.dst).bidf, tag.pn)
+    ridf = derive_ridf(bidf, tag.pn)
     return (
         struct.pack(">QBB", ridf, tag.tci.flags_byte(), tag.sl)
         + frame.secure_data
@@ -104,10 +102,10 @@ class IdfDownlink(DownlinkFlows):
     beyond its key in ``ids``.
 
     Identifiers are derived where they enter the table: ``_refill``
-    (register, window reset, bind) derives a flow's missing PNs in one
-    batch with ``derive_ridfs``; the per-frame slide in ``decode``
-    derives each new PN with the scalar ``derive_ridf``.  Either way
-    ``hash_calls`` counts one per identifier derived.
+    (register: a new SA, a join or a window reset) derives a flow's
+    missing PNs in one batch with ``derive_ridfs``; the per-frame slide
+    in ``decode`` derives each new PN with the scalar ``derive_ridf``.
+    Either way ``hash_calls`` counts one per identifier derived.
     """
 
     def __init__(self, window_size: int = DEFAULT_WINDOW):
@@ -138,14 +136,6 @@ class IdfDownlink(DownlinkFlows):
         if self.ids.get(ridf) is flow:
             del self.ids[ridf]
 
-    def _find(self, bidf: bytes, header: HeaderData) -> Optional[DownlinkFlowEntry]:
-        entry = self.flows.get(bidf)
-        # a flow's identifiers derive from its bidf and ``_refill`` keeps
-        # them, so a flow must be found by that bidf and never renamed;
-        # finding it by another key would require rebuilding its ids
-        assert entry is None or entry.bidf == bidf
-        return entry
-
     def _forget(self, flow: DownlinkFlowEntry) -> None:
         for slot, pn in enumerate(flow.ring_pns):
             if pn:
@@ -163,7 +153,8 @@ class IdfDownlink(DownlinkFlows):
             slots = 2 * self.window_size
             flow.ring = bytearray(8 * slots)
             flow.ring_pns = array("I", [0]) * slots
-        floor, top = flow.window.floor, flow.window.top
+        window = flow.sa.window
+        floor, top = window.floor, window.top
         pns = flow.ring_pns
         for slot, pn in enumerate(pns):
             if pn and (pn < floor or pn > top):
@@ -199,7 +190,8 @@ class IdfDownlink(DownlinkFlows):
             # only a table that fails ``audit`` gets here
             return DecodeResult(reason=REASON_UNKNOWN_IDENTIFIER)
         pn = pns[at >> 3]
-        window = flow.window
+        sa = flow.sa
+        window = sa.window
         if window.is_seen(pn):
             return DecodeResult(reason=REASON_REPLAY)
         if tci_flags & 0x03:
@@ -209,8 +201,10 @@ class IdfDownlink(DownlinkFlows):
         status = window.accept(pn)
         if status is not WindowStatus.ACCEPT:
             return DecodeResult(reason=status.value)
-        flows = (flow,) if flow.bound is None else (flow, flow.bound)
-        for fl in flows:
+        # both casts of the SA hold identifiers for the one window
+        for fl in (sa.unicast, sa.broadcast):
+            if fl is None:
+                continue
             fl_pns = fl.ring_pns
             slots = len(fl_pns)
             for p in range(old_floor, window.floor):
@@ -247,7 +241,8 @@ class IdfDownlink(DownlinkFlows):
             slots = len(flow.ring_pns)
             assert slots == 2 * self.window_size and len(flow.ring) == 8 * slots
             held = self.held(flow)
-            covered = set(range(flow.window.floor, flow.window.top + 1))
+            window = flow.sa.window
+            covered = set(range(window.floor, window.top + 1))
             assert set(held) <= covered, "entry outside window range"
             missing = covered - set(held)
             # entries may be missing only through cross-flow collisions

@@ -1,26 +1,26 @@
-"""Flow state: window semantics against a naive set-based oracle,
-binding and expiry."""
+"""Flow state: window semantics against a naive set-based oracle, the
+per-SA downlink records (flow binding) and expiry."""
 
 import itertools
 import random
 
 import pytest
 
+from conftest import MAC_A, MAC_B, SCI_A, protect
 from msectun.flow import (
     PN_MAX,
-    BindMismatch,
-    DownlinkFlowEntry,
+    DownlinkFlows,
     HeaderData,
     ReplayWindow,
     UplinkCast,
     UplinkFlowEntry,
     UplinkTable,
     WindowStatus,
-    bind,
     new_bidf,
-    unbind,
 )
 from msectun.frame import BROADCAST_MAC, Sci
+from msectun.gateway import Scheme
+from msectun.pair import EnginePair
 
 SCI = Sci(b"\x02\x00\x00\x00\x00\x01", 1)
 DST = b"\x02\x00\x00\x00\x00\x02"
@@ -153,81 +153,100 @@ def _header(dst=DST, an=0):
     return HeaderData(dst=dst, src=SCI.system_id, sci=SCI, an=an)
 
 
-def _entry(dst=DST, an=0, start_pn=1, size=8):
-    return DownlinkFlowEntry(
-        bidf=new_bidf(random.Random(dst)),
-        header=_header(dst, an),
-        window=ReplayWindow(start_pn, size),
-    )
+def _register(table, dst=DST, start_pn=1, sci=SCI, an=0):
+    return table.register(new_bidf(), HeaderData(dst, sci.system_id, sci, an), start_pn)
+
+
+class UnboundFlows(DownlinkFlows):
+    bind_flows = False
 
 
 def test_bind_links_and_shares_window():
-    u, b = _entry(), _entry(dst=BROADCAST_MAC)
-    bind(u, b)
-    assert u.bound is b and b.bound is u
-    assert u.window is b.window
+    t = DownlinkFlows(8)
+    u, b = _register(t), _register(t, dst=BROADCAST_MAC)
+    assert u.sa is b.sa
+    assert (u.sa.unicast, u.sa.broadcast) == (u, b)
+    assert len(t._sas) == 1
 
 
 def test_bound_pair_shares_pn_state():
-    u, b = _entry(), _entry(dst=BROADCAST_MAC)
-    bind(u, b)
-    assert u.window.accept(5) is WindowStatus.ACCEPT
-    assert b.window.accept(5) is WindowStatus.REPLAY
+    t = DownlinkFlows(8)
+    u, b = _register(t), _register(t, dst=BROADCAST_MAC)
+    assert u.sa.window.accept(5) is WindowStatus.ACCEPT
+    assert b.sa.window.accept(5) is WindowStatus.REPLAY
 
 
 def test_unbound_pair_independent():
-    u, b = _entry(), _entry(dst=BROADCAST_MAC)
-    assert u.window.accept(5) is WindowStatus.ACCEPT
-    assert b.window.accept(5) is WindowStatus.ACCEPT
+    t = UnboundFlows(8)
+    u, b = _register(t), _register(t, dst=BROADCAST_MAC)
+    assert u.sa.window.accept(5) is WindowStatus.ACCEPT
+    assert b.sa.window.accept(5) is WindowStatus.ACCEPT
 
 
 def test_bind_mismatch_rejected():
+    t = DownlinkFlows(8)
     other_sci = Sci(b"\x02\x00\x00\x00\x00\x09", 1)
-    u = _entry()
-    b = DownlinkFlowEntry(
-        bidf=b"\x01" * 16,
-        header=HeaderData(BROADCAST_MAC, other_sci.system_id, other_sci, 0),
-        window=ReplayWindow(1, 8),
-    )
-    with pytest.raises(BindMismatch):
-        bind(u, b)
-    with pytest.raises(BindMismatch):
-        bind(_entry(), _entry())  # both unicast
+    u = _register(t)
+    b = _register(t, dst=BROADCAST_MAC, sci=other_sci)
+    assert u.sa is not b.sa and u.sa.window is not b.sa.window
+    # two unicasts of one SA never share a window: the newer replaces
+    # the older, which leaves the table
+    u2 = _register(t)
+    assert list(t.flows) == [b.bidf, u2.bidf]
+    assert u2.sa.unicast is u2 and u2.sa.broadcast is None
 
 
 def test_bind_prefers_covering_window():
-    u = _entry(start_pn=1)
-    b = _entry(dst=BROADCAST_MAC, start_pn=3)
-    shared = bind(u, b)
-    assert shared.floor == 1  # overlapping: lower floor covers both
+    t = DownlinkFlows(8)
+    _register(t, start_pn=1)
+    b = _register(t, dst=BROADCAST_MAC, start_pn=3)
+    assert b.sa.window.floor == 1  # overlapping: lower floor covers both
 
 
 def test_bind_disjoint_prefers_newer():
-    u = _entry(start_pn=1, size=4)
-    b = _entry(dst=BROADCAST_MAC, start_pn=1000, size=4)
-    shared = bind(u, b)
-    assert shared.floor == 1000
+    t = DownlinkFlows(4)
+    _register(t, start_pn=1)
+    b = _register(t, dst=BROADCAST_MAC, start_pn=1000)
+    assert b.sa.window.floor == 1000
 
 
 def test_binding_symmetry_commuting_sequences():
     for seq in ([3, 1, 2], [1, 2, 3], [2, 3, 1]):
-        u1, b1 = _entry(), _entry(dst=BROADCAST_MAC)
-        bind(u1, b1)
-        u2, b2 = _entry(), _entry(dst=BROADCAST_MAC)
-        bind(u2, b2)
+        t = DownlinkFlows(8)
+        u1 = _register(t)
+        _register(t, dst=BROADCAST_MAC)
+        _register(t, an=1)
+        b2 = _register(t, dst=BROADCAST_MAC, an=1)
         for pn in seq:
-            u1.window.accept(pn)
-            b2.window.accept(pn)
-        assert u1.window.pending_pns() == b2.window.pending_pns()
+            u1.sa.window.accept(pn)
+            b2.sa.window.accept(pn)
+        assert u1.sa.window.pending_pns() == b2.sa.window.pending_pns()
 
 
 def test_unbind_keeps_partner_state():
-    u, b = _entry(), _entry(dst=BROADCAST_MAC)
-    bind(u, b)
-    u.window.accept(2)
-    unbind(u)
-    assert u.bound is None and b.bound is None
-    assert b.window.accept(2) is WindowStatus.REPLAY  # state retained
+    t = DownlinkFlows(8)
+    u, b = _register(t), _register(t, dst=BROADCAST_MAC)
+    u.sa.window.accept(2)
+    t.remove(u.bidf)
+    assert b.sa.unicast is None and b.sa.broadcast is b
+    assert b.sa.window.accept(2) is WindowStatus.REPLAY  # state retained
+    t.remove(b.bidf)
+    assert t.flows == {} and t._sas == {}
+
+
+def test_new_unicast_flow_before_the_old_ones_expire():
+    """A second unicast flow of the SA registers before the first's expire."""
+    t = DownlinkFlows(8)
+    u1 = _register(t)
+    b = _register(t, dst=BROADCAST_MAC)
+    u2 = _register(t, start_pn=3)
+    # the newer flow took the unicast slot and the SA's window
+    assert u1.bidf not in t.flows
+    assert (b.sa.unicast, b.sa.broadcast) == (u2, b) and u2.sa is b.sa
+    t.remove(u1.bidf)  # the late expire finds nothing
+    assert (b.sa.unicast, b.sa.broadcast) == (u2, b)
+    assert u2.sa.window.accept(4) is WindowStatus.ACCEPT
+    assert b.sa.window.accept(4) is WindowStatus.REPLAY
 
 
 # -- uplink table / expiry -------------------------------------------------------
@@ -266,10 +285,18 @@ def test_expire_empty_table():
 
 
 def test_bidf_for_dst_class():
-    e = _uplink()
-    assert e.cast(DST) is e.unicast
-    assert e.cast(BROADCAST_MAC) is e.broadcast
+    """The gateway carries an SA's unicast and broadcast frames as two flows."""
+    pair = EnginePair(Scheme.IDF)
+    sent = [protect(MAC_B, MAC_A, SCI_A, 1), protect(BROADCAST_MAC, MAC_A, SCI_A, 2)]
+    for raw in sent:
+        pair.lan_a(raw)
+    e = pair.a.uplink.get(SCI_A, 0)
     assert e.unicast.bidf != e.broadcast.bidf
+    flows = pair.b.codec.downlink.flows
+    assert flows[e.unicast.bidf].header.dst == MAC_B
+    assert flows[e.broadcast.bidf].header.dst == BROADCAST_MAC
+    # each frame's identifier came from its own cast's bidf
+    assert pair.emitted["B"] == sent
 
 
 def test_header_data_pack_roundtrip():

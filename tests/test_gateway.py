@@ -141,6 +141,38 @@ def test_flow_expiry_propagates():
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
+def test_roaming_device_keeps_its_sa_across_gateways(scheme):
+    """A device moves from A's LAN to C's under one SA; A's SA then expires.
+
+    B learns the SA from C while A's flows are still registered, so C's
+    announcements take over the SA's two casts; A's late expiry must
+    leave C's flows and their shared window intact."""
+    pair = EnginePair(scheme, window=8, names=("A", "B", "C"), flow_timeout_us=1000)
+    gw_c = pair.gws["C"]
+    pns = iter(range(1, 42))
+
+    def sealed(dsts):
+        # one SA: the PNs continue across both LANs
+        return [protect(dst, MAC_A, SCI_A, next(pns)) for dst in dsts]
+
+    before = sealed([MAC_B, BROADCAST_MAC] * 4)
+    for raw in before:
+        pair.lan_a(raw, now=0)
+    moved = sealed([MAC_B, BROADCAST_MAC] * 4)
+    for raw in moved:
+        gw_c.on_lan_frame(raw, 500)
+    pair.a.on_timer(1600)
+    assert pair.a.uplink.get(SCI_A, 0) is None
+    after = sealed([BROADCAST_MAC] * 20 + [MAC_B] * 5)
+    for raw in after:
+        gw_c.on_lan_frame(raw, 1600)
+    assert pair.emitted["B"] == before + moved + after
+    assert pair.b.snapshot_stats().drops == Counter()
+    if scheme is Scheme.IDF:
+        pair.b.idf_downlink.audit()
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
 def test_flow_state_ends_with_its_flow(scheme):
     """Announce, learn and expire many flows: no per-flow state remains."""
     pair = EnginePair(scheme, flow_timeout_us=1000)
@@ -181,6 +213,14 @@ def _check_indexes(gw):
         assert flow.bidf == bidf
         scan.setdefault((flow.header.dst, flow.header.src), []).append(id(flow))
     assert {k: [id(f) for f in v] for k, v in down._by_addr.items()} == scan
+    # each flow sits in its cast's slot of its SA record, and each SA
+    # record holds only flows of the table
+    for flow in down.flows.values():
+        sa = flow.sa
+        assert (sa.broadcast if flow.header.dst == BROADCAST_MAC else sa.unicast) is flow
+        assert down._sas[flow.header.sci, flow.header.an] is sa
+    slots = [f for sa in down._sas.values() for f in (sa.unicast, sa.broadcast) if f is not None]
+    assert sorted(map(id, slots)) == sorted(map(id, down.flows.values()))
     for (dst, src), flows in scan.items():
         assert [id(f) for f in down.addressed(dst, src)] == flows
 
@@ -438,7 +478,8 @@ def test_tick_that_hands_over_the_announcement_drains_the_queue(scheme, dst):
     pair.a.on_timer(100)
     assert len(pair.b.codec.downlink.flows) == 1
     assert pair.emitted["B"] == frames
-    assert pair.a.uplink.get(SCI_A, 0).cast(dst).pending == []
+    entry = pair.a.uplink.get(SCI_A, 0)
+    assert entry.unicast.pending == entry.broadcast.pending == []
     pair.a.on_timer(20_000)  # the SA expires
     assert pair.a.uplink.get(SCI_A, 0) is None
     assert pair.a.snapshot_stats().dropped() == 0

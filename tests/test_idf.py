@@ -45,7 +45,7 @@ class CountingIdfDownlink(UnboundIdfDownlink):
 
     def decode(self, body: bytes) -> DecodeResult:
         flow = self.ids.get(int.from_bytes(body[:8], "big"))
-        counted = None if flow is None else flow.window.lowest_unseen()
+        counted = None if flow is None else flow.sa.window.lowest_unseen()
         res = super().decode(body)
         if not res.ok:
             return res
@@ -62,6 +62,13 @@ def _uplink_entry(rng=None, an=0):
         broadcast=UplinkCast(new_bidf(rng)),
         timeout=1 << 60,
     )
+
+
+def _encode(frame, entry):
+    """The identifier-scheme body of ``frame``, under the cast of ``entry``
+    that its destination picks, as the gateway picks it."""
+    cast = entry.broadcast if frame.dst == BROADCAST_MAC else entry.unicast
+    return uplink_encode(frame, cast.bidf)
 
 
 def _protected(pn, dst=DST, payload=b"\x00" * 40, an=0):
@@ -173,7 +180,7 @@ def test_derive_ridfs_random_bidfs():
 def test_encode_layout_and_shrink():
     entry = _uplink_entry()
     f, raw = _protected(pn=7)
-    body = uplink_encode(f, entry)
+    body = _encode(f, entry)
     assert len(body) == len(raw) - 18
     ridf, tci_flags, sl = struct.unpack_from(">QBB", body)
     assert ridf == derive_ridf(entry.unicast.bidf, 7)
@@ -185,7 +192,7 @@ def test_encode_layout_and_shrink():
 def test_encode_broadcast_uses_broadcast_bidf():
     entry = _uplink_entry()
     f, _ = _protected(pn=3, dst=BROADCAST_MAC)
-    body = uplink_encode(f, entry)
+    body = _encode(f, entry)
     ridf = struct.unpack_from(">Q", body)[0]
     assert ridf == derive_ridf(entry.broadcast.bidf, 3)
     assert ridf != derive_ridf(entry.unicast.bidf, 3)
@@ -204,7 +211,7 @@ def test_wire_opacity_no_sensitive_substrings():
             PlainFrame(dst=dst, src=sci.system_id, ethertype=0x0800, payload=bytes(60)),
             KEY, sci, 0, pn,
         )
-        body = uplink_encode(f, entry)
+        body = _encode(f, entry)
         for needle in (dst, sci.system_id, sci.pack(), struct.pack(">I", pn)):
             assert needle not in body
 
@@ -217,7 +224,7 @@ def test_roundtrip_bit_exact():
     dn = _downlink(entry)
     for pn in range(1, 20):
         f, raw = _protected(pn=pn)
-        res = dn.decode(uplink_encode(f, entry))
+        res = dn.decode(_encode(f, entry))
         assert res.ok
         assert res.frame == raw
         endpoint_verify(parse_macsec(res.frame), KEY)
@@ -228,7 +235,7 @@ def test_replay_same_wire_frame():
     entry = _uplink_entry()
     dn = _downlink(entry)
     f, _ = _protected(pn=1)
-    body = uplink_encode(f, entry)
+    body = _encode(f, entry)
     assert dn.decode(body).ok
     assert dn.decode(body).reason == "replay"
     dn.audit()
@@ -250,9 +257,9 @@ def test_unknown_identifier_random_injections():
 def test_out_of_window_after_overgap():
     entry = _uplink_entry()
     dn = _downlink(entry, window=4)
-    assert dn.decode(uplink_encode(_protected(1)[0], entry)).ok
+    assert dn.decode(_encode(_protected(1)[0], entry)).ok
     # identifiers beyond the precalculated set cannot even be looked up
-    res = dn.decode(uplink_encode(_protected(100)[0], entry))
+    res = dn.decode(_encode(_protected(100)[0], entry))
     assert res.reason == "unknown_identifier"
 
 
@@ -273,7 +280,7 @@ def test_loss_tolerance_matches_oracle():
         expected_ok = []
         for pn in delivered:
             f, raw = _protected(pn=pn)
-            res = dn.decode(uplink_encode(f, entry))
+            res = dn.decode(_encode(f, entry))
             if res.ok:
                 expected_ok.append(pn)
         # every accepted pn reconstructs bit-exactly and never repeats
@@ -291,11 +298,11 @@ def test_loss_tolerance_matches_oracle():
 def test_bound_flows_share_pn_and_reconstruct():
     entry = _uplink_entry()
     dn = _downlink(entry, window=8, broadcast=True)
-    assert dn.flows[entry.unicast.bidf].bound is dn.flows[entry.broadcast.bidf]
+    assert dn.flows[entry.unicast.bidf].sa is dn.flows[entry.broadcast.bidf].sa
     for pn in range(1, 30):
         dst = BROADCAST_MAC if pn % 3 == 0 else DST
         f, raw = _protected(pn=pn, dst=dst)
-        res = dn.decode(uplink_encode(f, entry))
+        res = dn.decode(_encode(f, entry))
         assert res.ok, (pn, res.reason)
         assert res.frame == raw
     dn.audit()
@@ -309,9 +316,9 @@ def test_unbound_broadcast_window_stalls():
     # unicast consumes pns 1..20; broadcast window never advances
     for pn in range(1, 21):
         f, _ = _protected(pn=pn)
-        assert dn.decode(uplink_encode(f, entry)).ok
+        assert dn.decode(_encode(f, entry)).ok
     f, _ = _protected(pn=21, dst=BROADCAST_MAC)
-    res = dn.decode(uplink_encode(f, entry))
+    res = dn.decode(_encode(f, entry))
     assert res.reason == "unknown_identifier"
 
 
@@ -324,9 +331,9 @@ def test_naive_pn_reconstruction_hook_reproduces_wrong_pn():
     # pn 1 goes out as unicast, pn 2 as broadcast: the broadcast flow's
     # counter still says 1, so the rebuilt frame carries the wrong PN
     f, _ = _protected(pn=1)
-    assert dn.decode(uplink_encode(f, entry)).ok
+    assert dn.decode(_encode(f, entry)).ok
     f, raw = _protected(pn=2, dst=BROADCAST_MAC)
-    res = dn.decode(uplink_encode(f, entry))
+    res = dn.decode(_encode(f, entry))
     assert res.ok
     assert res.frame != raw
     assert parse_macsec(res.frame).sectag.pn == 1
@@ -338,9 +345,9 @@ def test_reannounce_with_higher_pn_resets_window():
     entry = _uplink_entry()
     dn = _downlink(entry, window=8)
     f, _ = _protected(pn=500)
-    assert dn.decode(uplink_encode(f, entry)).reason == "unknown_identifier"
+    assert dn.decode(_encode(f, entry)).reason == "unknown_identifier"
     dn.register(entry.unicast.bidf, HeaderData(DST, SCI.system_id, SCI, 0), 500)
-    res = dn.decode(uplink_encode(f, entry))
+    res = dn.decode(_encode(f, entry))
     assert res.ok
     dn.audit()
 
@@ -359,7 +366,7 @@ def test_remove_flow_clears_identifiers():
     dn = _downlink(entry, window=8, broadcast=True)
     dn.remove(entry.unicast.bidf)
     assert entry.unicast.bidf not in dn.flows
-    assert dn.flows[entry.broadcast.bidf].bound is None
+    assert dn.flows[entry.broadcast.bidf].sa.unicast is None
     dn.audit()
 
 
@@ -390,10 +397,10 @@ def test_steady_state_hash_counts():
     entry = _uplink_entry()
     dn = _downlink(entry, window=16)
     for pn in range(1, 6):
-        dn.decode(uplink_encode(_protected(pn)[0], entry))
+        dn.decode(_encode(_protected(pn)[0], entry))
     before = dn.hash_calls
     for pn in range(6, 106):
-        assert dn.decode(uplink_encode(_protected(pn)[0], entry)).ok
+        assert dn.decode(_encode(_protected(pn)[0], entry)).ok
     assert dn.hash_calls - before == 100
 
 
@@ -405,17 +412,17 @@ def test_refill_hashes_only_new_identifiers():
     uni = dn.register(entry.unicast.bidf, HeaderData(DST, SCI.system_id, SCI, 0), 1)
     assert dn.hash_calls == window
     dn.audit()
-    # the broadcast partner binds to the unicast window [1, 16]: the
+    # the broadcast partner joins the SA's unicast window [1, 16]: the
     # unicast flow keeps its identifiers, only the partner is hashed
     bc = dn.register(entry.broadcast.bidf, HeaderData(BROADCAST_MAC, SCI.system_id, SCI, 0), 2)
-    assert bc.window is uni.window and (uni.window.floor, uni.window.top) == (1, window)
+    assert bc.sa is uni.sa and (uni.sa.window.floor, uni.sa.window.top) == (1, window)
     assert dn.hash_calls == 2 * window
     dn.audit()
     # a re-announce at PN 5 resets the shared window to [5, 20]: PNs
     # 17..20 are new to the range, for each of the two flows
     before = dn.hash_calls
     dn.register(entry.unicast.bidf, HeaderData(DST, SCI.system_id, SCI, 0), 5)
-    assert (uni.window.floor, uni.window.top) == (5, window + 4)
+    assert (uni.sa.window.floor, uni.sa.window.top) == (5, window + 4)
     assert dn.hash_calls - before == 2 * 4
     assert sorted(dn.held(uni)) == sorted(dn.held(bc)) == list(range(5, window + 5))
     dn.audit()

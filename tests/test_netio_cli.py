@@ -280,8 +280,12 @@ def test_gw_cli_bad_config_is_a_usage_error(tmp_path, monkeypatch, capsys, text,
         ("--tun-listen", "127.0.0.1:x", "--tun-listen: invalid literal"),
         ("--mgmt-listen", "udp", "--mgmt-listen: invalid literal"),
         ("--lan-if", "udp:127.0.0.1:5001:127.0.0.1", "--lan-if: only udp:host:port"),
+        ("--stats-interval", "-1", "--stats-interval: must be a finite number >= 0"),
+        ("--stats-interval", "nan", "--stats-interval: must be a finite number >= 0"),
+        ("--stats-interval", "inf", "--stats-interval: must be a finite number >= 0"),
     ],
-    ids=["tun-listen", "mgmt-listen", "lan-if"],
+    ids=["tun-listen", "mgmt-listen", "lan-if", "stats-interval-negative", "stats-interval-nan",
+         "stats-interval-inf"],
 )
 def test_gw_cli_bad_address_flag_is_a_usage_error(tmp_path, monkeypatch, capsys, flag, value,
                                                    error):
