@@ -27,7 +27,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from .frame import MacsecFrame, Sci, is_broadcast
+from .frame import Sci, is_broadcast
 
 if TYPE_CHECKING:
     from .mgmt import MgmtMessage
@@ -123,9 +123,10 @@ class UplinkCast:
     ``remote_gateway`` is the peer learned from reverse traffic; a
     broadcast cast never learns one.  ``announce`` is the flow's one
     announcement, made with its first frame; every outbox that still
-    owes it holds this object, so one write keeps its PN current.
-    ``pending`` holds the frames that wait for the announcement; it is
-    emptied when the announcement is out and ends with the record.
+    owes it holds this object; its PN is the oldest queued frame's while
+    the cast queues and the newest tunneled frame's after.  ``pending``
+    holds the (PN, wire bytes) pairs of the frames that wait for it; it
+    is emptied when the announcement is out and ends with the record.
     """
 
     bidf: bytes
@@ -133,7 +134,7 @@ class UplinkCast:
     remote_gateway: Optional[str] = None
     announce: Optional[MgmtMessage] = None
     announced: bool = False
-    pending: list[tuple[MacsecFrame, bytes]] = field(default_factory=list)
+    pending: list[tuple[int, bytes]] = field(default_factory=list)
 
 
 @dataclass(slots=True)

@@ -141,10 +141,6 @@ class Tci:
             an=b & _AN_MASK,
         )
 
-    def flags_byte(self) -> int:
-        """TCI byte with the AN bits cleared (the non-sensitive part)."""
-        return self.pack() & ~_AN_MASK
-
 
 @dataclass(frozen=True)
 class SecTag:

@@ -33,7 +33,7 @@ from .flow import (
     UplinkTable,
     new_bidf,
 )
-from .frame import BROADCAST_MAC, MacsecFrame, is_broadcast
+from .frame import BROADCAST_MAC, is_broadcast
 from .fullenc import PREFIX_LEN, FullEncTunnel
 from .idf import IdfDownlink
 
@@ -175,10 +175,10 @@ class SchemeCodec:
       announcements register into it and expiries remove from it
     - ``peer_state(own, name, secret)``: the (send, recv) state of one
       peer, from the secret the two gateways share
-    - ``encode(frame, raw, cast, targets)``: the (body, peers) pairs
-      to send for one LAN frame of the flow ``cast`` (a
-      ``flow.UplinkCast``), or None if the frame is too short for the
-      scheme
+    - ``encode(raw, pn, cast, targets)``: the (body, peers) pairs to
+      send for one LAN frame, its wire bytes and PN, of the flow
+      ``cast`` (a ``flow.UplinkCast``), or None if the frame is too
+      short for the scheme
     - ``decode(body, peer, now)``: a ``DecodeResult``, the frame or a
       drop reason
     - ``needs_announce``: whether ``decode`` needs the flow's
@@ -201,7 +201,7 @@ class SchemeCodec:
     def peer_state(self, own: str, name: str, secret: bytes) -> tuple:
         return None, None
 
-    def encode(self, frame: MacsecFrame, raw: bytes, cast: UplinkCast, targets):
+    def encode(self, raw: bytes, pn: int, cast: UplinkCast, targets):
         return ((raw, targets),)
 
     def decode(self, body: bytes, peer: Peer, now: int) -> DecodeResult:
@@ -228,8 +228,8 @@ class IdfCodec(SchemeCodec):
         super().__init__(config, rand_bytes)
         self.hash_calls_uplink = 0
 
-    def encode(self, frame, raw, cast, targets):
-        body = idf_mod.uplink_encode(frame, cast.bidf)
+    def encode(self, raw, pn, cast, targets):
+        body = idf_mod.uplink_encode(raw, pn, cast.bidf)
         self.hash_calls_uplink += 1
         return ((body, targets),)
 
@@ -252,7 +252,7 @@ class EncCodec(SchemeCodec):
     def peer_state(self, own, name, secret):
         return PairKeys(_directional_key(secret, own)), PairKeys(_directional_key(secret, name))
 
-    def encode(self, frame, raw, cast, targets):
+    def encode(self, raw, pn, cast, targets):
         if len(raw) < ENC_MIN_FRAME:
             return None
         tunnel = self.downlink
@@ -289,7 +289,7 @@ class FullEncCodec(SchemeCodec):
         send = FullEncTunnel(_directional_key(secret, own), self._rand_bytes(PREFIX_LEN))
         return send, FullEncTunnel(_directional_key(secret, name))
 
-    def encode(self, frame, raw, cast, targets):
+    def encode(self, raw, pn, cast, targets):
         return [(p.send.encode(raw), [p]) for p in targets]
 
     def decode(self, body, peer, now):
@@ -397,10 +397,11 @@ class GatewayEngine:
 
     def on_lan_frame(self, data: bytes, now: int) -> None:
         self.stats.bytes_lan_in += len(data)
-        if fr.is_mka(data):
+        ethertype = fr.ethertype_of(data)
+        if ethertype == fr.ETHERTYPE_EAPOL:
             self._forward_mka(data)
             return
-        if fr.ethertype_of(data) != fr.ETHERTYPE_MACSEC:
+        if ethertype != fr.ETHERTYPE_MACSEC:
             self._drop("not_macsec")
             return
         try:
@@ -408,11 +409,13 @@ class GatewayEngine:
         except fr.FrameError:
             self._drop("parse_error")
             return
+        # only this handler reads the record; past it the frame is (raw, pn)
         tci = frame.sectag.tci
         if not tci.e or tci.c:
             self._drop("unsupported_shape")
             return
-        if frame.sectag.pn == 0:
+        pn = frame.sectag.pn
+        if pn == 0:
             self._drop("zero_pn")
             return
 
@@ -444,11 +447,11 @@ class GatewayEngine:
             self.uplink.set_unicast(entry, frame.dst, cast)
 
         if cast.announced:
-            self._tunnel_frame(frame, data, cast)
+            self._tunnel_frame(data, pn, cast)
             return
         # the frame joins the discovery queue
         pending = cast.pending
-        pending.append((frame, data))
+        pending.append((pn, data))
         if len(pending) > QUEUE_LIMIT:
             del pending[0]
             self._drop("unregistered_queue_overflow")
@@ -456,12 +459,12 @@ class GatewayEngine:
         msg = cast.announce
         if msg is None:
             header = HeaderData(dst=frame.dst, src=frame.src, sci=sci, an=an)
-            msg = cast.announce = mgmt.MgmtMessage.announce(cast.bidf, header, frame.sectag.pn)
+            msg = cast.announce = mgmt.MgmtMessage.announce(cast.bidf, header, pn)
             owed = self._all_peers
         else:
             # the announcement carries the PN of the oldest queued frame so
             # the remote window covers the whole queue once it drains
-            msg.pn = pending[0][0].sectag.pn
+            msg.pn = pending[0][0]
             # a peer whose outbox no longer holds the announcement has it
             owed = [p for p in self._all_peers if key in p.outbox]
         for peer in owed:
@@ -477,9 +480,9 @@ class GatewayEngine:
         cast.announced = True
         cast.pending = []
         self._queued.pop(cast.bidf, None)
-        for queued, raw in pending:
-            self._tunnel_frame(queued, raw, cast)
-        self._learn_from_uplink(pending[-1][0])
+        for pn, raw in pending:
+            self._tunnel_frame(raw, pn, cast)
+        self._learn_from_uplink(pending[-1][1])
 
     def _end_cast(self, cast: UplinkCast) -> None:
         """End a flow: peers that may know it get an expire, and its queued
@@ -491,19 +494,18 @@ class GatewayEngine:
         if cast.pending:
             self._drop("unregistered_queue_overflow", len(cast.pending))
 
-    def _tunnel_frame(self, frame: MacsecFrame, raw: bytes, cast: UplinkCast) -> None:
+    def _tunnel_frame(self, raw: bytes, pn: int, cast: UplinkCast) -> None:
+        # a peer that takes the announcement late starts at this PN
+        cast.announce.pn = pn
         gateway = cast.remote_gateway
         targets = self._all_peers if gateway is None else (self.peers[gateway],)
-        if any(self._boxes):
-            # a peer that takes the announcement late starts at this PN;
-            # if the scheme decodes by flow, it cannot decode the flow's
-            # datagrams until then, so it is skipped
-            cast.announce.pn = frame.sectag.pn
-            if self.codec.needs_announce:
-                key = (mgmt.MgmtKind.FLOW_ANNOUNCE, cast.bidf)
-                targets = [p for p in targets if key not in p.outbox]
+        if self.codec.needs_announce and any(self._boxes):
+            # a scheme that decodes by flow skips a peer still owed the
+            # announcement, which could not decode the flow's datagrams
+            key = (mgmt.MgmtKind.FLOW_ANNOUNCE, cast.bidf)
+            targets = [p for p in targets if key not in p.outbox]
 
-        bodies = self.codec.encode(frame, raw, cast, targets)
+        bodies = self.codec.encode(raw, pn, cast, targets)
         if bodies is None:
             self._drop("too_short_for_scheme")
             return
@@ -533,9 +535,9 @@ class GatewayEngine:
             self._mgmt_out(peer, mgmt.MgmtMessage.mka(data), slot)
         self.stats.mka_forwarded += 1
 
-    def _learn_from_uplink(self, frame: MacsecFrame) -> None:
+    def _learn_from_uplink(self, raw: bytes) -> None:
         """Reverse traffic for an announced flow: tell the announcer."""
-        for flow in self.codec.downlink.addressed(frame.src, frame.dst):
+        for flow in self.codec.downlink.addressed(raw[6:12], raw[:6]):
             if not flow.learned:
                 flow.learned = True
                 self._mgmt_out(self.peers[flow.origin], mgmt.MgmtMessage.learned(flow.bidf))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import struct
 from array import array
 
-from .frame import ETHERTYPE_MACSEC, ICV_LEN, MacsecFrame
+from .frame import ETHERTYPE_MACSEC, ICV_LEN
 from .flow import (
     DEFAULT_WINDOW,
     DecodeResult,
@@ -67,20 +67,15 @@ def derive_ridfs(bidf: bytes, pns: list[int]) -> list[int]:
     return siphash24_many([struct.pack(">IIII", pn, pn, pn, pn) for pn in pns], bidf)
 
 
-def uplink_encode(frame: MacsecFrame, bidf: bytes) -> bytes:
+def uplink_encode(raw: bytes, pn: int, bidf: bytes) -> bytes:
     """Swap sensitive headers for the rotating identifier.
 
-    Payload and ICV are copied untouched; ``bidf`` is the base
-    identifier of the frame's flow, the unicast or broadcast cast of its
-    SA that the caller picked.
+    ``raw`` is a parsed frame's wire bytes and ``pn`` its PN; ``bidf`` is
+    the base identifier of its flow, the unicast or broadcast cast of its
+    SA that the caller picked.  The TCI byte keeps every flag but the AN
+    bits; SL, secure data and ICV are copied untouched.
     """
-    tag = frame.sectag
-    ridf = derive_ridf(bidf, tag.pn)
-    return (
-        struct.pack(">QBB", ridf, tag.tci.flags_byte(), tag.sl)
-        + frame.secure_data
-        + frame.icv
-    )
+    return struct.pack(">QBB", derive_ridf(bidf, pn), raw[14] & 0xFC, raw[15]) + raw[28:]
 
 
 class IdfDownlink(DownlinkFlows):
@@ -172,7 +167,11 @@ class IdfDownlink(DownlinkFlows):
     # -- decode ------------------------------------------------------------
 
     def decode(self, body: bytes) -> DecodeResult:
-        """Identifier lookup, window acceptance, frame reconstruction."""
+        """Identifier lookup, window acceptance, frame reconstruction.
+
+        A frame below its window finds no held identifier, so it counts as
+        ``unknown_identifier`` like a forged one (enc: ``out_of_window``).
+        """
         if len(body) < MIN_BODY:
             return DecodeResult(reason=REASON_MALFORMED)
         ridf, tci_flags, sl = struct.unpack_from(">QBB", body)

@@ -1,15 +1,19 @@
-"""Every top-level name of the library is used somewhere.
+"""Every top-level name of the library, and every method and class
+attribute of its classes, is used somewhere.
 
-A function, class or constant at module level in ``src/msectun`` that
-no other code, test, benchmark file, README or ``pyproject.toml``
-names is dead: it can only drift from the code around it.  A name
-counts as used when it appears as a word anywhere outside its own
-definition, so names looked up by string (perfbench's tracer, the
-codecs' ``REASON_*`` scan, the console scripts) count too.
+A function, class or constant at module level in ``src/msectun``, or a
+method or class attribute of one of its classes, that no other code,
+test, benchmark file, README or ``pyproject.toml`` names is dead: it can
+only drift from the code around it.  A name counts as used when it
+appears as a word anywhere outside its own definition, so names looked
+up by string (perfbench's tracer, the codecs' ``REASON_*`` scan, the
+console scripts) count too.
 """
 
 import ast
+import functools
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,34 +26,52 @@ OTHERS = [
 ]
 
 
-def _top_level_names(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
-    out = []
-    for node in tree.body:
+def _definitions(body: list[ast.stmt], owner: str = ""):
+    """(qualified name, name, node) for each function, class or assigned
+    name in ``body``, and, at module level, for each member of a class."""
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            out.append((node.name, node))
+            names = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            out += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
-    return [(name, node) for name, node in out if not name.startswith("__")]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("__"):
+                yield owner + name, name, node
+        if isinstance(node, ast.ClassDef) and not owner:
+            yield from _definitions(node.body, node.name + ".")
 
 
-def _uses(name: str, text: str) -> int:
-    return len(re.findall(rf"\b{re.escape(name)}\b", text))
+def _words(text: str) -> Counter:
+    # ``\w+`` splits text at the same boundaries as ``\bname\b``
+    return Counter(re.findall(r"\w+", text))
 
 
-def test_no_dead_top_level_names():
-    others = "\n".join(p.read_text(encoding="utf-8") for p in OTHERS if p.exists())
+@functools.cache
+def _dead() -> list[str]:
+    others = _words("\n".join(p.read_text(encoding="utf-8") for p in OTHERS if p.exists()))
     sources = {p: p.read_text(encoding="utf-8") for p in LIBRARY}
+    words = {p: _words(s) for p, s in sources.items()}
+    everywhere = sum(words.values(), others)
     dead = []
     for path, source in sources.items():
         lines = source.splitlines()
-        elsewhere = "\n".join([others] + [s for p, s in sources.items() if p != path])
-        for name, node in _top_level_names(ast.parse(source)):
-            # the module without the lines that define the name: an
-            # assignment, or a def or class line and its decorators
+        for qualname, name, node in _definitions(ast.parse(source).body):
+            # the lines that define the name: an assignment, or a def or
+            # class line and its decorators
             first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
             last = node.end_lineno if isinstance(node, (ast.Assign, ast.AnnAssign)) else node.lineno
-            own = "\n".join(lines[: first - 1] + lines[last:])
-            if not _uses(name, own) and not _uses(name, elsewhere):
-                dead.append(f"{path.stem}.{name}")
-    assert dead == []
+            own = _words("\n".join(lines[first - 1 : last]))
+            if everywhere[name] == own[name]:
+                dead.append(f"{path.stem}.{qualname}")
+    return dead
+
+
+def test_no_dead_top_level_names():
+    assert [name for name in _dead() if name.count(".") == 1] == []
+
+
+def test_no_dead_class_members():
+    assert [name for name in _dead() if name.count(".") == 2] == []

@@ -404,7 +404,22 @@ def test_queue_overflow_drops_oldest():
         pair.lan_a(raw)
     assert pair.a.snapshot_stats().drops["unregistered_queue_overflow"] == 6
     pending = pair.a.uplink.get(SCI_A, 0).unicast.pending
-    assert [f.sectag.pn for f, _ in pending] == list(range(7, QUEUE_LIMIT + 7))
+    assert [pn for pn, _ in pending] == list(range(7, QUEUE_LIMIT + 7))
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_announcement_keeps_the_newest_tunneled_pn(scheme):
+    """After release, each cast's one announcement holds the PN of its
+    newest tunneled frame, where a peer that takes it later starts."""
+    pair = EnginePair(scheme)
+    frames = [protect(MAC_B, MAC_A, SCI_A, pn) for pn in range(1, 21)]
+    frames += _broadcasts(range(21, 26))
+    for raw in frames:
+        pair.lan_a(raw)
+    assert pair.emitted["B"] == frames
+    entry = pair.a.uplink.get(SCI_A, 0)
+    assert entry.unicast.announce.pn == 20
+    assert entry.broadcast.announce.pn == 25
 
 
 def _refuse(gw, refusing):

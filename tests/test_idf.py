@@ -2,9 +2,11 @@
 
 import random
 import struct
+from dataclasses import replace
 
 import pytest
 
+from test_frame import random_frame
 from msectun.bench import run_table_sweep
 from msectun.flow import PN_MAX, DecodeResult, HeaderData, UplinkCast, UplinkFlowEntry, new_bidf
 from msectun.frame import (
@@ -68,7 +70,7 @@ def _encode(frame, entry):
     """The identifier-scheme body of ``frame``, under the cast of ``entry``
     that its destination picks, as the gateway picks it."""
     cast = entry.broadcast if frame.dst == BROADCAST_MAC else entry.unicast
-    return uplink_encode(frame, cast.bidf)
+    return uplink_encode(build_macsec(frame), frame.sectag.pn, cast.bidf)
 
 
 def _protected(pn, dst=DST, payload=b"\x00" * 40, an=0):
@@ -229,6 +231,25 @@ def test_roundtrip_bit_exact():
         assert res.frame == raw
         endpoint_verify(parse_macsec(res.frame), KEY)
     dn.audit()
+
+
+def test_roundtrip_keeps_any_tci_flags_bit_exact():
+    """E set and C clear, as the gateway tunnels them; ES, SCB, AN and SL
+    take any value, and each comes back bit-exact."""
+    rng = random.Random(18)
+    seen = set()
+    for _ in range(300):
+        f = random_frame(rng)
+        tag = f.sectag
+        f.sectag = replace(tag, tci=replace(tag.tci, e=True, c=False))
+        raw = build_macsec(f)
+        seen.add(raw[14])
+        bidf = new_bidf(rng)
+        dn = IdfDownlink(window_size=8)
+        dn.register(bidf, HeaderData(f.dst, f.src, tag.sci, tag.tci.an), tag.pn)
+        assert dn.decode(uplink_encode(raw, tag.pn, bidf)).frame == raw
+    # every ES, SCB and AN combination came through
+    assert len(seen) == 16
 
 
 def test_replay_same_wire_frame():
