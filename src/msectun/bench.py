@@ -12,12 +12,15 @@ per-frame overheads and crypto-operation counts.
 
 ``run_table_sweep`` measures the identifier table alone against its
 flow count: memory per identifier held and set-up time per flow.
+``main`` is the ``msec-bench`` command line over both.
 """
 
 from __future__ import annotations
 
+import argparse
 import gc
 import random
+import sys
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -276,3 +279,61 @@ def run_table_sweep(flow_counts: list[int], window: int = DEFAULT_WINDOW) -> lis
 
 def table_csv(results: list[TableResult]) -> str:
     return "\n".join([TableResult.CSV_COLUMNS] + [r.csv_row() for r in results]) + "\n"
+
+
+# -- command line: msec-bench ----------------------------------------------
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="msec-bench", description="tunnel scheme benchmark"
+    )
+    parser.add_argument(
+        "--schemes",
+        default="naive,idf,enc,fullenc",
+        help="comma-separated subset of naive,idf,enc,fullenc",
+    )
+    parser.add_argument("--sizes", default="64,256,1400", help="frame sizes to sweep")
+    parser.add_argument(
+        "--secs", type=float, default=10.0, help="time budget per size row"
+    )
+    parser.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    parser.add_argument("--out", default="-", help="CSV output path ('-' = stdout)")
+    parser.add_argument(
+        "--table-flows",
+        help="comma-separated flow counts: measure the idf identifier table alone "
+        "at each count instead of the scheme sweep",
+    )
+    args = parser.parse_args(argv)
+
+    try:
+        schemes = [Scheme(s.strip()) for s in args.schemes.split(",") if s.strip()]
+    except ValueError as e:
+        parser.error(f"--schemes: {e}")
+    if not schemes:
+        parser.error("--schemes: no scheme given")
+    if args.window < 1:
+        parser.error("--window: window size must be >= 1")
+    if args.table_flows is not None:
+        try:
+            counts = [int(s) for s in args.table_flows.split(",") if s.strip()]
+        except ValueError as e:
+            parser.error(f"--table-flows: {e}")
+        if not counts or min(counts) < 1:
+            parser.error("--table-flows: flow counts must be integers >= 1")
+        results = run_table_sweep(counts, args.window)
+        csv = table_csv(results)
+    else:
+        try:
+            sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+            results = run_bench(schemes, sizes, args.secs, args.window)
+        except ValueError as e:
+            parser.error(f"--sizes: {e}")
+        csv = results_csv(results)
+    if args.out == "-":
+        sys.stdout.write(csv)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(csv)
+        print(f"wrote {len(results)} rows to {args.out}", file=sys.stderr)
+    return 0

@@ -1,4 +1,4 @@
-"""Command line entry points: msec-gw and msec-bench."""
+"""Command line entry point of the real-socket gateway: msec-gw."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import time
 from typing import Optional
 
 from . import encap, mgmt
-from .bench import results_csv, run_bench, run_table_sweep, table_csv
 from .flow import DEFAULT_WINDOW
 from .gateway import GatewayConfig, Scheme
 from .netio import GatewayRunner, PeerEndpoints, parse_hostport
@@ -56,12 +55,14 @@ def gw_main(argv=None) -> int:
     except (OSError, ValueError) as e:
         parser.error(f"--config: {e}")
     window = args.window if args.window is not None else raw.get("window", DEFAULT_WINDOW)
-    if not isinstance(window, int) or window < 1:
+    if isinstance(window, bool) or not isinstance(window, int) or window < 1:
         parser.error(f"--window: window size must be an integer >= 1, not {window!r}")
     # a bad value is a usage error that names the key it came from
     key = "own_id"
     try:
         own_id = raw[key]
+        if not isinstance(own_id, str) or not own_id:
+            raise ValueError(f"must be a non-empty string, not {own_id!r}")
         key = "scheme"
         scheme = Scheme(args.scheme or raw.get(key, "idf"))
         key = "peers"
@@ -106,61 +107,6 @@ def gw_main(argv=None) -> int:
             time.sleep(1)
     except KeyboardInterrupt:
         runner.stop()
-    return 0
-
-
-def bench_main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="msec-bench", description="tunnel scheme benchmark"
-    )
-    parser.add_argument(
-        "--schemes",
-        default="naive,idf,enc,fullenc",
-        help="comma-separated subset of naive,idf,enc,fullenc",
-    )
-    parser.add_argument("--sizes", default="64,256,1400", help="frame sizes to sweep")
-    parser.add_argument(
-        "--secs", type=float, default=10.0, help="time budget per size row"
-    )
-    parser.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    parser.add_argument("--out", default="-", help="CSV output path ('-' = stdout)")
-    parser.add_argument(
-        "--table-flows",
-        help="comma-separated flow counts: measure the idf identifier table alone "
-        "at each count instead of the scheme sweep",
-    )
-    args = parser.parse_args(argv)
-
-    try:
-        schemes = [Scheme(s.strip()) for s in args.schemes.split(",") if s.strip()]
-    except ValueError as e:
-        parser.error(f"--schemes: {e}")
-    if not schemes:
-        parser.error("--schemes: no scheme given")
-    if args.window < 1:
-        parser.error("--window: window size must be >= 1")
-    if args.table_flows is not None:
-        try:
-            counts = [int(s) for s in args.table_flows.split(",") if s.strip()]
-        except ValueError as e:
-            parser.error(f"--table-flows: {e}")
-        if not counts or min(counts) < 1:
-            parser.error("--table-flows: flow counts must be integers >= 1")
-        results = run_table_sweep(counts, args.window)
-        csv = table_csv(results)
-    else:
-        try:
-            sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-            results = run_bench(schemes, sizes, args.secs, args.window)
-        except ValueError as e:
-            parser.error(f"--sizes: {e}")
-        csv = results_csv(results)
-    if args.out == "-":
-        sys.stdout.write(csv)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv)
-        print(f"wrote {len(results)} rows to {args.out}", file=sys.stderr)
     return 0
 
 

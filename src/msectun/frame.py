@@ -29,11 +29,6 @@ MIN_SECURE_DATA = 2  # at least the moved original EtherType
 MIN_FRAME_LEN = 12 + SECTAG_LEN + MIN_SECURE_DATA + ICV_LEN  # 46
 DEFAULT_MTU = 1500
 
-# Which header fields an on-path observer must not learn, and which are
-# safe to carry in the clear.  Layout code and tests share this map.
-SENSITIVE_FIELDS = frozenset({"dst", "src", "ethertype", "pn", "sci", "an"})
-NON_SENSITIVE_FIELDS = frozenset({"tci_flags", "sl"})
-
 _TCI_V = 0x80
 _TCI_ES = 0x40
 _TCI_SC = 0x20
@@ -182,11 +177,6 @@ def ethertype_of(data: bytes) -> int | None:
     if len(data) < 14:
         return None
     return struct.unpack_from(">H", data, 12)[0]
-
-
-def is_mka(data: bytes) -> bool:
-    """True for key-agreement (EAPOL) frames the gateway must divert."""
-    return ethertype_of(data) == ETHERTYPE_EAPOL
 
 
 def _pack_header(frame: MacsecFrame, sl: int) -> bytes:

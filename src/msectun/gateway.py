@@ -588,7 +588,10 @@ class GatewayEngine:
         elif kind is mgmt.MgmtKind.FLOW_LEARNED:
             self._handle_learned(msg.bidf, peer.name)
         elif kind is mgmt.MgmtKind.FLOW_EXPIRE:
-            self.codec.downlink.remove(msg.bidf)
+            # only the gateway that announced a flow may end it
+            flow = self.codec.downlink.flows.get(msg.bidf)
+            if flow is not None and flow.origin == peer.name:
+                self.codec.downlink.remove(msg.bidf)
         elif kind is mgmt.MgmtKind.REKEY:
             self.codec.on_rekey(msg, peer, now)
         elif kind is mgmt.MgmtKind.MKA_FORWARD:

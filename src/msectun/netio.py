@@ -7,11 +7,13 @@ event into one queue consumed by a single engine thread, preserving
 the engine's single-writer contract.
 
 The management channel is carried over plain TCP here; deploy it over
-a VPN, it is modeled as a pre-authenticated link.
+a VPN, it is modeled as a pre-authenticated link.  Messages leave only
+on connections dialed to each peer's configured ``mgmt`` address.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import queue
 import socket
@@ -71,7 +73,6 @@ class GatewayRunner:
         self.peer_endpoints = peer_endpoints
         self._events: queue.Queue = queue.Queue()
         self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
         self.stats_interval_s = stats_interval_s
         self.stats_sink = stats_sink
 
@@ -89,6 +90,7 @@ class GatewayRunner:
             ep.tunnel: peer for peer, ep in peer_endpoints.items()
         }
         self._mgmt_conns: dict[str, socket.socket] = {}
+        self._accepted: set[socket.socket] = set()
         self._mgmt_lock = threading.Lock()
 
         self.engine = GatewayEngine(
@@ -111,12 +113,15 @@ class GatewayRunner:
             conn = self._connect_mgmt(peer)
             if conn is None:
                 return False
+            name = self.config.own_id.encode()
+            data = struct.pack(">H", len(name)) + name + data
         try:
             conn.sendall(data)
             return True
         except OSError:
             with self._mgmt_lock:
                 self._mgmt_conns.pop(peer, None)
+            conn.close()
             return False
 
     def _emit_lan(self, frame: bytes) -> None:
@@ -131,12 +136,8 @@ class GatewayRunner:
             conn = socket.create_connection(ep.mgmt, timeout=1.0)
         except OSError:
             return None
-        conn.sendall(struct.pack(">H", len(self.config.own_id)) + self.config.own_id.encode())
         with self._mgmt_lock:
             self._mgmt_conns[peer] = conn
-        t = threading.Thread(target=self._mgmt_rx, args=(conn, peer), daemon=True)
-        t.start()
-        self._threads.append(t)
         return conn
 
     # -- receive threads -----------------------------------------------------
@@ -173,26 +174,24 @@ class GatewayRunner:
                 conn.close()
                 continue
             with self._mgmt_lock:
-                self._mgmt_conns.setdefault(name, conn)
-            t = threading.Thread(target=self._mgmt_rx, args=(conn, name), daemon=True)
-            t.start()
-            self._threads.append(t)
+                self._accepted.add(conn)
+            threading.Thread(target=self._mgmt_rx, args=(conn, name), daemon=True).start()
 
     def _mgmt_rx(self, conn: socket.socket, peer: str) -> None:
         decoder = StreamDecoder()
-        while not self._stop.is_set():
-            try:
+        try:
+            while not self._stop.is_set():
                 data = conn.recv(_BUF)
-            except OSError:
-                return
-            if not data:
-                return
-            try:
-                msgs = decoder.feed(data)
-            except MgmtError:
-                return  # the stream cannot be re-framed after a bad header
-            for msg in msgs:
-                self._events.put(("mgmt", msg, peer))
+                if not data:
+                    return
+                for msg in decoder.feed(data):
+                    self._events.put(("mgmt", msg, peer))
+        except (OSError, MgmtError):
+            pass  # closed, or a bad header the stream cannot be re-framed after
+        finally:
+            with self._mgmt_lock:
+                self._accepted.discard(conn)
+            conn.close()
 
     # -- engine thread ---------------------------------------------------------
 
@@ -229,9 +228,7 @@ class GatewayRunner:
 
     def start(self) -> None:
         for target in (self._tun_rx, self._lan_rx, self._mgmt_accept, self._engine_loop):
-            t = threading.Thread(target=target, daemon=True)
-            t.start()
-            self._threads.append(t)
+            threading.Thread(target=target, daemon=True).start()
 
     def stop(self) -> None:
         self._stop.set()
@@ -241,11 +238,11 @@ class GatewayRunner:
             except OSError:
                 pass
         with self._mgmt_lock:
-            for conn in self._mgmt_conns.values():
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+            for conn in [*self._mgmt_conns.values(), *self._accepted]:
+                # a shutdown, unlike a close, wakes a thread blocked in recv
+                with contextlib.suppress(OSError):
+                    conn.shutdown(socket.SHUT_RDWR)
+                conn.close()
 
     @property
     def addresses(self) -> dict:

@@ -6,7 +6,6 @@ import pytest
 
 from msectun import bench
 from msectun.bench import BenchResult, TableResult, results_csv, run_bench, run_bench_cell
-from msectun.cli import bench_main
 from msectun.gateway import Scheme
 
 
@@ -88,7 +87,7 @@ def test_csv_output_shape():
 )
 def test_unusable_sizes_are_usage_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
-        bench_main(argv + ["--secs", "0.05"])
+        bench.main(argv + ["--secs", "0.05"])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
 
@@ -98,7 +97,7 @@ def test_unusable_size_fails_before_timing(capsys):
     cannot carry ends the run at once, with no partial table."""
     t0 = time.perf_counter()
     with pytest.raises(SystemExit) as exc:
-        bench_main(["--schemes", "naive,fullenc", "--sizes", "50,1449", "--secs", "6"])
+        bench.main(["--schemes", "naive,fullenc", "--sizes", "50,1449", "--secs", "6"])
     wall = time.perf_counter() - t0
     assert exc.value.code == 2
     out, err = capsys.readouterr()
@@ -108,7 +107,7 @@ def test_unusable_size_fails_before_timing(capsys):
 
 
 def test_table_sweep_reports_each_flow_count(capsys):
-    assert bench_main(["--table-flows", "3,1", "--window", "8"]) == 0
+    assert bench.main(["--table-flows", "3,1", "--window", "8"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == TableResult.CSV_COLUMNS
     rows = [line.split(",") for line in lines[1:]]

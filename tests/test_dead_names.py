@@ -7,7 +7,9 @@ test, benchmark file, README or ``pyproject.toml`` names is dead: it can
 only drift from the code around it.  A name counts as used when it
 appears as a word anywhere outside its own definition, so names looked
 up by string (perfbench's tracer, the codecs' ``REASON_*`` scan, the
-console scripts) count too.
+console scripts) count too.  A mention in the package root
+``msectun/__init__.py`` is a re-export, not a use: it counts only for a
+name the root itself defines.
 """
 
 import ast
@@ -18,6 +20,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "msectun").glob("*.py"))
+PACKAGE_ROOT = ROOT / "src" / "msectun" / "__init__.py"
 OTHERS = [
     *sorted((ROOT / "perfbench").rglob("*.py")),
     *sorted((ROOT / "tests").glob("*.py")),
@@ -55,8 +58,10 @@ def _dead() -> list[str]:
     sources = {p: p.read_text(encoding="utf-8") for p in LIBRARY}
     words = {p: _words(s) for p, s in sources.items()}
     everywhere = sum(words.values(), others)
+    reexports = words.get(PACKAGE_ROOT, Counter())
     dead = []
     for path, source in sources.items():
+        ignored = reexports if path != PACKAGE_ROOT else Counter()
         lines = source.splitlines()
         for qualname, name, node in _definitions(ast.parse(source).body):
             # the lines that define the name: an assignment, or a def or
@@ -64,7 +69,7 @@ def _dead() -> list[str]:
             first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
             last = node.end_lineno if isinstance(node, (ast.Assign, ast.AnnAssign)) else node.lineno
             own = _words("\n".join(lines[first - 1 : last]))
-            if everywhere[name] == own[name]:
+            if everywhere[name] - ignored[name] == own[name]:
                 dead.append(f"{path.stem}.{qualname}")
     return dead
 

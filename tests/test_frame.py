@@ -1,4 +1,4 @@
-"""Frame codec: round-trips, the SL law, GCM protection, field partition."""
+"""Frame codec: round-trips, the SL law, GCM protection, EtherType lookup."""
 
 import random
 
@@ -15,7 +15,7 @@ from msectun.frame import (
     build_macsec,
     endpoint_protect,
     endpoint_verify,
-    is_mka,
+    ethertype_of,
     parse_macsec,
     short_length_for,
 )
@@ -223,17 +223,13 @@ def test_aead_soundness_bit_mutations():
     assert accepted == 0
 
 
-def test_is_mka():
-    assert is_mka(bytes(12) + b"\x88\x8e" + b"xx")
-    assert not is_mka(bytes(12) + b"\x88\xe5" + b"xx")
-    assert not is_mka(bytes(12) + b"\x08\x00" + b"xx")
-    assert not is_mka(b"")
-
-
-def test_sensitivity_partition():
-    assert fr.SENSITIVE_FIELDS == {"dst", "src", "ethertype", "pn", "sci", "an"}
-    assert fr.NON_SENSITIVE_FIELDS == {"tci_flags", "sl"}
-    assert not fr.SENSITIVE_FIELDS & fr.NON_SENSITIVE_FIELDS
+def test_ethertype_of():
+    assert ethertype_of(bytes(12) + b"\x88\x8e" + b"xx") == fr.ETHERTYPE_EAPOL
+    assert ethertype_of(bytes(12) + b"\x88\xe5") == fr.ETHERTYPE_MACSEC
+    assert ethertype_of(bytes(12) + b"\x08\x00" + b"xx") == 0x0800
+    # a frame too short to have an EtherType has none
+    assert ethertype_of(bytes(13)) is None
+    assert ethertype_of(b"") is None
 
 
 def test_mac_helpers():

@@ -173,6 +173,25 @@ def test_roaming_device_keeps_its_sa_across_gateways(scheme):
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
+def test_expire_counts_only_from_the_flows_origin(scheme):
+    """C sends B an expire for the flow A announced: B keeps the flow,
+    and A's frames keep arriving."""
+    pair = EnginePair(scheme, names=("A", "B", "C"))
+    pns = iter(range(1, 9))
+    first = [protect(MAC_B, MAC_A, SCI_A, next(pns)) for _ in range(3)]
+    for raw in first:
+        pair.lan_a(raw)
+    [bidf] = pair.b.codec.downlink.flows
+    pair.b.on_mgmt_bytes(encode_message(MgmtMessage.expire(bidf)), "C", now=0)
+    assert bidf in pair.b.codec.downlink.flows
+    later = [protect(MAC_B, MAC_A, SCI_A, next(pns)) for _ in range(5)]
+    for raw in later:
+        pair.lan_a(raw)
+    assert pair.emitted["B"] == first + later
+    assert pair.b.snapshot_stats().drops == Counter()
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
 def test_flow_state_ends_with_its_flow(scheme):
     """Announce, learn and expire many flows: no per-flow state remains."""
     pair = EnginePair(scheme, flow_timeout_us=1000)

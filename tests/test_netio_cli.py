@@ -13,7 +13,7 @@ import pytest
 
 from conftest import MAC_A, MAC_B, SCI_A, protect
 from msectun.gateway import GatewayConfig, Scheme
-from msectun.mgmt import MgmtMessage, encode_message
+from msectun.mgmt import MgmtKind, MgmtMessage, StreamDecoder, decode_message, encode_message
 from msectun.netio import GatewayRunner, PeerEndpoints, parse_hostport
 
 
@@ -113,33 +113,97 @@ def test_silent_mgmt_connection_does_not_block_peers():
             r.stop()
 
 
+def test_mgmt_messages_leave_only_on_dialed_connections():
+    """A stranger that connects to A's management port as gwB is sent
+    nothing: A's REKEY and FLOW_ANNOUNCE go to gwB's configured address.
+    Stopping A closes the accepted connection too."""
+    real_b = socket.create_server(("127.0.0.1", 0))
+    real_b.settimeout(5)
+    ports = {k: _udp_port() for k in ("tun", "mgmt", "lan")}
+    runner = GatewayRunner(
+        GatewayConfig(own_id="gwA", peers=["gwB"], scheme=Scheme.ENC),
+        tun_listen=("127.0.0.1", ports["tun"]),
+        mgmt_listen=("127.0.0.1", ports["mgmt"]),
+        lan_listen=("127.0.0.1", ports["lan"]),
+        lan_peer=None,
+        peer_endpoints={"gwB": PeerEndpoints(("127.0.0.1", _udp_port()), real_b.getsockname())},
+    )
+    runner.start()
+    stranger = socket.create_connection(("127.0.0.1", ports["mgmt"]))
+    lan = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        stranger.sendall(struct.pack(">H", 3) + b"gwB" + encode_message(MgmtMessage.hello()))
+        _wait_for(lambda: runner.engine.peers["gwB"].last_hello is not None, 5)
+        assert runner.engine.peers["gwB"].last_hello is not None
+        lan.sendto(protect(MAC_B, MAC_A, SCI_A, 1), ("127.0.0.1", ports["lan"]))
+        conn, _ = real_b.accept()
+        with conn:
+            conn.settimeout(5)
+            assert conn.recv(5, socket.MSG_WAITALL) == struct.pack(">H", 3) + b"gwA"
+            decoder, kinds = StreamDecoder(), set()
+            while not {MgmtKind.REKEY, MgmtKind.FLOW_ANNOUNCE} <= kinds:
+                data = conn.recv(65536)
+                assert data
+                kinds.update(decode_message(msg).kind for msg in decoder.feed(data))
+        stranger.settimeout(0.5)
+        with pytest.raises(socket.timeout):
+            stranger.recv(65536)
+        runner.stop()
+        stranger.settimeout(2)
+        assert stranger.recv(65536) == b""
+    finally:
+        runner.stop()
+        for sock in (real_b, stranger, lan):
+            sock.close()
+
+
+def test_failed_mgmt_send_closes_its_connection():
+    """A dialed connection whose send fails is closed and forgotten."""
+    runners, _ = _runner_pair(Scheme.NAIVE)
+    gw_a = runners["A"]
+    hello = encode_message(MgmtMessage.hello())
+    try:
+        assert gw_a._send_mgmt("gwB", hello)
+        conn = gw_a._mgmt_conns["gwB"]
+        conn.shutdown(socket.SHUT_WR)  # the next write fails
+        assert not gw_a._send_mgmt("gwB", hello)
+        assert conn.fileno() == -1
+        assert "gwB" not in gw_a._mgmt_conns
+    finally:
+        for r in runners.values():
+            r.stop()
+
+
 def test_parse_hostport():
     assert parse_hostport("127.0.0.1:99") == ("127.0.0.1", 99)
     assert parse_hostport(":80") == ("127.0.0.1", 80)
 
 
-def test_bench_cli(tmp_path):
-    out = tmp_path / "r.csv"
-    # the child imports this checkout, whatever put it on sys.path here
+def _child(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python args`` on this checkout, whatever put it on sys.path here."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, inherited))))
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "msectun.cli",
-            "--help",
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
-    from msectun.cli import bench_main
 
-    rc = bench_main(
+def test_gateway_cli_loads_no_harness():
+    """msec-gw's process loads the socket runner, not the simulation,
+    the engine pair or the benchmark."""
+    proc = _child("-c", "import sys, msectun.cli; print(*sorted(sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "msectun.netio" in loaded
+    assert not loaded & {"msectun.simnet", "msectun.pair", "msectun.bench"}
+
+
+def test_bench_cli(tmp_path):
+    out = tmp_path / "r.csv"
+    assert _child("-m", "msectun.cli", "--help").returncode == 0
+
+    from msectun.bench import main
+
+    rc = main(
         ["--schemes", "naive,idf", "--sizes", "64", "--secs", "0.2", "--out", str(out)]
     )
     assert rc == 0
@@ -164,6 +228,11 @@ def test_gw_cli_config_parsing(tmp_path):
 
     parsed = cli._load_gw_config(str(path))
     assert parsed["own_id"] == "gwX"
+
+
+def _interrupt(_seconds):
+    """Stands in for ``time.sleep``: ends ``gw_main``'s run loop at once."""
+    raise KeyboardInterrupt
 
 
 class _StubRunner:
@@ -193,6 +262,7 @@ class _StubRunner:
         (0, [], None),
         (-3, [], None),
         ("64", [], None),
+        (True, [], None),
     ],
 )
 def test_gw_cli_window(tmp_path, monkeypatch, capsys, json_window, flag, expect):
@@ -205,11 +275,7 @@ def test_gw_cli_window(tmp_path, monkeypatch, capsys, json_window, flag, expect)
     path.write_text(json.dumps(cfg))
     _StubRunner.configs = []
     monkeypatch.setattr(cli, "GatewayRunner", _StubRunner)
-
-    def interrupt(_seconds):
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(cli.time, "sleep", interrupt)
+    monkeypatch.setattr(cli.time, "sleep", _interrupt)
     if expect is None:
         with pytest.raises(SystemExit) as exc:
             cli.gw_main(["--config", str(path), *flag])
@@ -229,6 +295,10 @@ _PEER = {"tunnel": "127.0.0.1:1", "mgmt": "127.0.0.1:2"}
     "text,error",
     [
         (json.dumps({"peers": {"gwY": _PEER}}), "own_id: missing 'own_id'"),
+        (json.dumps({"own_id": 5, "peers": {"gwY": _PEER}}),
+         "own_id: must be a non-empty string, not 5"),
+        (json.dumps({"own_id": "", "peers": {"gwY": _PEER}}),
+         "own_id: must be a non-empty string, not ''"),
         (json.dumps({"own_id": "gwX"}), "peers: missing 'peers'"),
         (json.dumps({"own_id": "gwX", "peers": {}}), "peers: a gateway needs at least one peer"),
         (json.dumps({"own_id": "gwX", "peers": {"gwY": {"tunnel": "127.0.0.1:1"}}}),
@@ -254,7 +324,8 @@ _PEER = {"tunnel": "127.0.0.1:1", "mgmt": "127.0.0.1:2"}
          "lan_if: only udp:host:port[:peerhost:peerport]"),
     ],
     ids=[
-        "no-own-id", "no-peers", "empty-peers", "peer-no-mgmt", "peer-no-tunnel", "bad-port",
+        "no-own-id", "own-id-not-a-string", "empty-own-id", "no-peers", "empty-peers",
+        "peer-no-mgmt", "peer-no-tunnel", "bad-port",
         "unknown-scheme", "non-hex-secret", "own-id-as-peer", "unreadable", "not-json",
         "not-an-object", "bad-tun-listen", "bad-mgmt-listen", "bad-lan-if",
     ],
@@ -267,6 +338,8 @@ def test_gw_cli_bad_config_is_a_usage_error(tmp_path, monkeypatch, capsys, text,
         path.write_text(text)
     _StubRunner.configs = []
     monkeypatch.setattr(cli, "GatewayRunner", _StubRunner)
+    # a config that parses runs the gateway loop: end it at once
+    monkeypatch.setattr(cli.time, "sleep", _interrupt)
     with pytest.raises(SystemExit) as exc:
         cli.gw_main(["--config", str(path)])
     assert exc.value.code == 2
@@ -295,12 +368,8 @@ def test_gw_cli_bad_address_flag_is_a_usage_error(tmp_path, monkeypatch, capsys,
     path.write_text(json.dumps({"own_id": "gwX", "peers": {"gwY": _PEER}}))
     _StubRunner.configs = []
     monkeypatch.setattr(cli, "GatewayRunner", _StubRunner)
-
-    def interrupt(_seconds):
-        raise KeyboardInterrupt
-
     # a spec that parses runs the gateway loop: end it at once
-    monkeypatch.setattr(cli.time, "sleep", interrupt)
+    monkeypatch.setattr(cli.time, "sleep", _interrupt)
     with pytest.raises(SystemExit) as exc:
         cli.gw_main(["--config", str(path), flag, value])
     assert exc.value.code == 2
