@@ -242,10 +242,6 @@ class DownlinkFlows:
     pipeline owns the instance.
     """
 
-    # a test double may clear it to show what unbound windows do: each
-    # cast then has an SA record, and a window, of its own
-    bind_flows = True
-
     def __init__(self, window_size: int = DEFAULT_WINDOW):
         self.window_size = window_size
         self.flows: dict[bytes, DownlinkFlowEntry] = {}
@@ -265,9 +261,7 @@ class DownlinkFlows:
 
     def _sa_key(self, sci: Sci, an: int, dst: bytes) -> tuple:
         """The key of the SA record that a flow to ``dst`` belongs to."""
-        if self.bind_flows:
-            return sci, an
-        return sci, an, is_broadcast(dst)
+        return sci, an
 
     def register(
         self, bidf: bytes, header: HeaderData, pn: int, origin: str = ""

@@ -50,11 +50,12 @@ def derive_ridf(bidf: bytes, pn: int) -> int:
 
     SipHash reads that key as two equal little-endian 64-bit words, each
     the byte-swapped PN in both halves, so they are computed from the PN
-    directly and hashed by the fixed 16-byte form ``siphash24_words``.
+    directly and passed with the bidf's two words and the final block of
+    a 16-byte message to the core ``siphash24_words``.
     """
     k = int.from_bytes(pn.to_bytes(4, "big"), "little") * 0x1_0000_0001
     m0, m1 = _BIDF_WORDS.unpack(bidf)
-    return siphash24_words(k, k, m0, m1)
+    return siphash24_words(k, k, (m0, m1, 16 << 56))
 
 
 def derive_ridfs(bidf: bytes, pns: list[int]) -> list[int]:

@@ -8,7 +8,12 @@ the engine's single-writer contract.
 
 The management channel is carried over plain TCP here; deploy it over
 a VPN, it is modeled as a pre-authenticated link.  Messages leave only
-on connections dialed to each peer's configured ``mgmt`` address.
+on connections dialed to each peer's configured ``mgmt`` address.  A
+dialed connection only sends, so one that has become readable was
+closed by the peer: it is closed and the peer redialed before the next
+message, which would otherwise be reported sent and lost.  An accepted
+connection names its peer in a handshake that its own receive thread
+reads, with a 1 s timeout, so a silent connection delays no other.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import logging
 import queue
+import select
 import socket
 import struct
 import threading
@@ -47,6 +53,14 @@ def _recv_exact(conn: socket.socket, n: int) -> bytes:
             raise ConnectionError("closed during the handshake")
         data += chunk
     return data
+
+
+def _readable(conn: socket.socket) -> bool:
+    """Whether ``conn`` has bytes or an end of stream to read now."""
+    try:
+        return bool(select.select([conn], [], [], 0)[0])
+    except ValueError:  # closed by ``stop``: nothing can be written to it
+        return True
 
 
 @dataclass
@@ -109,6 +123,11 @@ class GatewayRunner:
 
     def _send_mgmt(self, peer: str, data: bytes) -> bool:
         conn = self._mgmt_conns.get(peer)
+        if conn is not None and _readable(conn):
+            # a dialed connection only sends, so a readable one was closed
+            # by the peer: a write to it would be reported sent, then lost
+            self._drop_mgmt(peer, conn)
+            conn = None
         if conn is None:
             conn = self._connect_mgmt(peer)
             if conn is None:
@@ -119,10 +138,13 @@ class GatewayRunner:
             conn.sendall(data)
             return True
         except OSError:
-            with self._mgmt_lock:
-                self._mgmt_conns.pop(peer, None)
-            conn.close()
+            self._drop_mgmt(peer, conn)
             return False
+
+    def _drop_mgmt(self, peer: str, conn: socket.socket) -> None:
+        with self._mgmt_lock:
+            self._mgmt_conns.pop(peer, None)
+        conn.close()
 
     def _emit_lan(self, frame: bytes) -> None:
         if self._lan_peer is not None:
@@ -130,7 +152,7 @@ class GatewayRunner:
 
     def _connect_mgmt(self, peer: str):
         ep = self.peer_endpoints.get(peer)
-        if ep is None:
+        if ep is None or self._stop.is_set():
             return None
         try:
             conn = socket.create_connection(ep.mgmt, timeout=1.0)
@@ -165,29 +187,27 @@ class GatewayRunner:
                 conn, _ = self._mgmt_listener.accept()
             except OSError:
                 return
-            try:
-                conn.settimeout(1.0)  # a silent peer must not block the next one
-                (length,) = struct.unpack(">H", _recv_exact(conn, 2))
-                name = _recv_exact(conn, length).decode()
-                conn.settimeout(None)
-            except (OSError, UnicodeDecodeError):
-                conn.close()
-                continue
             with self._mgmt_lock:
                 self._accepted.add(conn)
-            threading.Thread(target=self._mgmt_rx, args=(conn, name), daemon=True).start()
+            threading.Thread(target=self._mgmt_rx, args=(conn,), daemon=True).start()
 
-    def _mgmt_rx(self, conn: socket.socket, peer: str) -> None:
+    def _mgmt_rx(self, conn: socket.socket) -> None:
         decoder = StreamDecoder()
         try:
+            # the name handshake is read here, not in ``_mgmt_accept``, so
+            # a silent connection holds only its own thread, for at most 1 s
+            conn.settimeout(1.0)
+            (length,) = struct.unpack(">H", _recv_exact(conn, 2))
+            peer = _recv_exact(conn, length).decode()
+            conn.settimeout(None)
             while not self._stop.is_set():
                 data = conn.recv(_BUF)
                 if not data:
                     return
                 for msg in decoder.feed(data):
                     self._events.put(("mgmt", msg, peer))
-        except (OSError, MgmtError):
-            pass  # closed, or a bad header the stream cannot be re-framed after
+        except (OSError, UnicodeDecodeError, MgmtError):
+            pass  # closed, a bad name, or a bad header the stream cannot be re-framed after
         finally:
             with self._mgmt_lock:
                 self._accepted.discard(conn)

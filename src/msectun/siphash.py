@@ -2,9 +2,11 @@
 
 Self-contained implementation used to derive rotating identifiers.
 Matches the reference test vectors (key 000102..0f over 64 incremental
-messages); see tests/test_siphash.py.  ``siphash24`` hashes one message
-under one key; ``siphash24_many`` hashes one message under many keys in
-one bit-sliced pass and returns what ``siphash24`` would for each.
+messages); see tests/test_siphash.py.  ``siphash24_words`` is the one
+scalar core, over key and message words; ``siphash24`` hashes one byte
+message under one byte key through it.  ``siphash24_many`` hashes one
+message under many keys in one bit-sliced pass and returns what
+``siphash24`` would for each.
 """
 
 import struct
@@ -15,204 +17,67 @@ _KEY_WORDS = struct.Struct("<QQ")
 _WORD = struct.Struct("<Q")
 
 
-def siphash24(key: bytes, data: bytes) -> int:
-    """Hash ``data`` under a 16-byte ``key``; returns a 64-bit integer."""
-    if len(key) != 16:
-        raise ValueError("siphash key must be 16 bytes")
-    k0, k1 = _KEY_WORDS.unpack(key)
-    v0 = k0 ^ 0x736F6D6570736575
-    v1 = k1 ^ 0x646F72616E646F6D
-    v2 = k0 ^ 0x6C7967656E657261
-    v3 = k1 ^ 0x7465646279746573
-
+def _message_words(data: bytes) -> list[int]:
+    """``data`` as SipHash's message words: each whole little-endian
+    64-bit word, then the final block of the tail bytes and the length
+    modulo 256 in its top byte."""
     n = len(data)
-    end = n - (n % 8)
-    for off in range(0, end, 8):
-        m = _WORD.unpack_from(data, off)[0]
-        v3 ^= m
-        # two SipRounds per message word
-        for _ in (0, 1):
-            v0 = (v0 + v1) & _U64
-            v1 = ((v1 << 13) | (v1 >> 51)) & _U64
-            v1 ^= v0
-            v0 = ((v0 << 32) | (v0 >> 32)) & _U64
-            v2 = (v2 + v3) & _U64
-            v3 = ((v3 << 16) | (v3 >> 48)) & _U64
-            v3 ^= v2
-            v0 = (v0 + v3) & _U64
-            v3 = ((v3 << 21) | (v3 >> 43)) & _U64
-            v3 ^= v0
-            v2 = (v2 + v1) & _U64
-            v1 = ((v1 << 17) | (v1 >> 47)) & _U64
-            v1 ^= v2
-            v2 = ((v2 << 32) | (v2 >> 32)) & _U64
-        v0 ^= m
-
-    # final block: remaining bytes plus total length in the top byte
-    tail = data[end:]
-    b = (n & 0xFF) << 56
-    for i, byte in enumerate(tail):
-        b |= byte << (8 * i)
-    v3 ^= b
-    for _ in (0, 1):
-        v0 = (v0 + v1) & _U64
-        v1 = ((v1 << 13) | (v1 >> 51)) & _U64
-        v1 ^= v0
-        v0 = ((v0 << 32) | (v0 >> 32)) & _U64
-        v2 = (v2 + v3) & _U64
-        v3 = ((v3 << 16) | (v3 >> 48)) & _U64
-        v3 ^= v2
-        v0 = (v0 + v3) & _U64
-        v3 = ((v3 << 21) | (v3 >> 43)) & _U64
-        v3 ^= v0
-        v2 = (v2 + v1) & _U64
-        v1 = ((v1 << 17) | (v1 >> 47)) & _U64
-        v1 ^= v2
-        v2 = ((v2 << 32) | (v2 >> 32)) & _U64
-    v0 ^= b
-
-    v2 ^= 0xFF
-    for _ in range(4):
-        v0 = (v0 + v1) & _U64
-        v1 = ((v1 << 13) | (v1 >> 51)) & _U64
-        v1 ^= v0
-        v0 = ((v0 << 32) | (v0 >> 32)) & _U64
-        v2 = (v2 + v3) & _U64
-        v3 = ((v3 << 16) | (v3 >> 48)) & _U64
-        v3 ^= v2
-        v0 = (v0 + v3) & _U64
-        v3 = ((v3 << 21) | (v3 >> 43)) & _U64
-        v3 ^= v0
-        v2 = (v2 + v1) & _U64
-        v1 = ((v1 << 17) | (v1 >> 47)) & _U64
-        v1 ^= v2
-        v2 = ((v2 << 32) | (v2 >> 32)) & _U64
-
-    return v0 ^ v1 ^ v2 ^ v3
+    end = n - n % 8
+    words = list(struct.unpack_from(f"<{end // 8}Q", data))
+    words.append(int.from_bytes(data[end:], "little") | (n & 0xFF) << 56)
+    return words
 
 
-def siphash24_words(k0: int, k1: int, m0: int, m1: int) -> int:
-    """SipHash-2-4 of a 16-byte message, unrolled for that one length.
+def siphash24_words(k0: int, k1: int, words: Sequence[int]) -> int:
+    """SipHash-2-4 under key words ``k0, k1`` of the message ``words``.
 
-    ``k0, k1`` and ``m0, m1`` are the key's and the message's two
-    little-endian 64-bit words; the result is ``siphash24`` of the same
-    key and message.  Two message words and a final block holding only
-    the length make 10 SipRounds, written out with no loop and no tail
-    handling.  In each round the 32-bit rotation of ``v0`` shares one
-    mask with the addition after it: the bits a sum carries past 64 are
-    dropped either way.
+    ``k0, k1`` are the key's two little-endian 64-bit words and
+    ``words`` the message's, final block last (see ``_message_words``);
+    a caller with a fixed message shape passes them without building
+    bytes.  Each word gets two SipRounds; finalization is two more
+    passes of that body with a zero word, after ``v2`` takes 0xFF.  In
+    each round the 32-bit rotations of ``v0`` and ``v2`` share one mask
+    with the addition after them, as the bits above 64 that a sum
+    carries are dropped either way; the result is masked for ``v2``'s
+    last rotation.
     """
     M = _U64
     v0 = k0 ^ 0x736F6D6570736575
     v1 = k1 ^ 0x646F72616E646F6D
     v2 = k0 ^ 0x6C7967656E657261
-    v3 = k1 ^ 0x7465646279746573 ^ m0
-    # compression: two SipRounds per message word
-    v0 = (v0 + v1) & M
-    v1 = ((v1 << 13 | v1 >> 51) & M) ^ v0
-    v2 = (v2 + v3) & M
-    v3 = ((v3 << 16 | v3 >> 48) & M) ^ v2
-    v0 = ((v0 << 32 | v0 >> 32) + v3) & M
-    v3 = ((v3 << 21 | v3 >> 43) & M) ^ v0
-    v2 = (v2 + v1) & M
-    v1 = ((v1 << 17 | v1 >> 47) & M) ^ v2
-    v2 = (v2 << 32 | v2 >> 32) & M
+    v3 = k1 ^ 0x7465646279746573
+    for flip, block in ((0xFF, words), (0, (0, 0))):
+        for m in block:
+            v3 ^= m
+            v0 = (v0 + v1) & M
+            v1 = ((v1 << 13 | v1 >> 51) & M) ^ v0
+            v2 = (v2 + v3) & M
+            v3 = ((v3 << 16 | v3 >> 48) & M) ^ v2
+            v0 = ((v0 << 32 | v0 >> 32) + v3) & M
+            v3 = ((v3 << 21 | v3 >> 43) & M) ^ v0
+            v2 = (v2 + v1) & M
+            v1 = ((v1 << 17 | v1 >> 47) & M) ^ v2
+            v2 = v2 << 32 | v2 >> 32
 
-    v0 = (v0 + v1) & M
-    v1 = ((v1 << 13 | v1 >> 51) & M) ^ v0
-    v2 = (v2 + v3) & M
-    v3 = ((v3 << 16 | v3 >> 48) & M) ^ v2
-    v0 = ((v0 << 32 | v0 >> 32) + v3) & M
-    v3 = ((v3 << 21 | v3 >> 43) & M) ^ v0
-    v2 = (v2 + v1) & M
-    v1 = ((v1 << 17 | v1 >> 47) & M) ^ v2
-    v2 = (v2 << 32 | v2 >> 32) & M
-    v0 ^= m0
-    v3 ^= m1
-    v0 = (v0 + v1) & M
-    v1 = ((v1 << 13 | v1 >> 51) & M) ^ v0
-    v2 = (v2 + v3) & M
-    v3 = ((v3 << 16 | v3 >> 48) & M) ^ v2
-    v0 = ((v0 << 32 | v0 >> 32) + v3) & M
-    v3 = ((v3 << 21 | v3 >> 43) & M) ^ v0
-    v2 = (v2 + v1) & M
-    v1 = ((v1 << 17 | v1 >> 47) & M) ^ v2
-    v2 = (v2 << 32 | v2 >> 32) & M
+            v0 = (v0 + v1) & M
+            v1 = ((v1 << 13 | v1 >> 51) & M) ^ v0
+            v2 = (v2 + v3) & M
+            v3 = ((v3 << 16 | v3 >> 48) & M) ^ v2
+            v0 = ((v0 << 32 | v0 >> 32) + v3) & M
+            v3 = ((v3 << 21 | v3 >> 43) & M) ^ v0
+            v2 = (v2 + v1) & M
+            v1 = ((v1 << 17 | v1 >> 47) & M) ^ v2
+            v2 = v2 << 32 | v2 >> 32
+            v0 ^= m
+        v2 ^= flip
+    return (v0 ^ v1 ^ v2 ^ v3) & M
 
-    v0 = (v0 + v1) & M
-    v1 = ((v1 << 13 | v1 >> 51) & M) ^ v0
-    v2 = (v2 + v3) & M
-    v3 = ((v3 << 16 | v3 >> 48) & M) ^ v2
-    v0 = ((v0 << 32 | v0 >> 32) + v3) & M
-    v3 = ((v3 << 21 | v3 >> 43) & M) ^ v0
-    v2 = (v2 + v1) & M
-    v1 = ((v1 << 17 | v1 >> 47) & M) ^ v2
-    v2 = (v2 << 32 | v2 >> 32) & M
-    v0 ^= m1
-    # final block: the length byte, no tail bytes
-    v3 ^= 16 << 56
-    v0 = (v0 + v1) & M
-    v1 = ((v1 << 13 | v1 >> 51) & M) ^ v0
-    v2 = (v2 + v3) & M
-    v3 = ((v3 << 16 | v3 >> 48) & M) ^ v2
-    v0 = ((v0 << 32 | v0 >> 32) + v3) & M
-    v3 = ((v3 << 21 | v3 >> 43) & M) ^ v0
-    v2 = (v2 + v1) & M
-    v1 = ((v1 << 17 | v1 >> 47) & M) ^ v2
-    v2 = (v2 << 32 | v2 >> 32) & M
 
-    v0 = (v0 + v1) & M
-    v1 = ((v1 << 13 | v1 >> 51) & M) ^ v0
-    v2 = (v2 + v3) & M
-    v3 = ((v3 << 16 | v3 >> 48) & M) ^ v2
-    v0 = ((v0 << 32 | v0 >> 32) + v3) & M
-    v3 = ((v3 << 21 | v3 >> 43) & M) ^ v0
-    v2 = (v2 + v1) & M
-    v1 = ((v1 << 17 | v1 >> 47) & M) ^ v2
-    v2 = (v2 << 32 | v2 >> 32) & M
-    v0 ^= 16 << 56
-    v2 ^= 0xFF
-    # finalization: four SipRounds
-    v0 = (v0 + v1) & M
-    v1 = ((v1 << 13 | v1 >> 51) & M) ^ v0
-    v2 = (v2 + v3) & M
-    v3 = ((v3 << 16 | v3 >> 48) & M) ^ v2
-    v0 = ((v0 << 32 | v0 >> 32) + v3) & M
-    v3 = ((v3 << 21 | v3 >> 43) & M) ^ v0
-    v2 = (v2 + v1) & M
-    v1 = ((v1 << 17 | v1 >> 47) & M) ^ v2
-    v2 = (v2 << 32 | v2 >> 32) & M
-
-    v0 = (v0 + v1) & M
-    v1 = ((v1 << 13 | v1 >> 51) & M) ^ v0
-    v2 = (v2 + v3) & M
-    v3 = ((v3 << 16 | v3 >> 48) & M) ^ v2
-    v0 = ((v0 << 32 | v0 >> 32) + v3) & M
-    v3 = ((v3 << 21 | v3 >> 43) & M) ^ v0
-    v2 = (v2 + v1) & M
-    v1 = ((v1 << 17 | v1 >> 47) & M) ^ v2
-    v2 = (v2 << 32 | v2 >> 32) & M
-
-    v0 = (v0 + v1) & M
-    v1 = ((v1 << 13 | v1 >> 51) & M) ^ v0
-    v2 = (v2 + v3) & M
-    v3 = ((v3 << 16 | v3 >> 48) & M) ^ v2
-    v0 = ((v0 << 32 | v0 >> 32) + v3) & M
-    v3 = ((v3 << 21 | v3 >> 43) & M) ^ v0
-    v2 = (v2 + v1) & M
-    v1 = ((v1 << 17 | v1 >> 47) & M) ^ v2
-    v2 = (v2 << 32 | v2 >> 32) & M
-
-    v0 = (v0 + v1) & M
-    v1 = ((v1 << 13 | v1 >> 51) & M) ^ v0
-    v2 = (v2 + v3) & M
-    v3 = ((v3 << 16 | v3 >> 48) & M) ^ v2
-    v0 = ((v0 << 32 | v0 >> 32) + v3) & M
-    v3 = ((v3 << 21 | v3 >> 43) & M) ^ v0
-    v2 = (v2 + v1) & M
-    v1 = ((v1 << 17 | v1 >> 47) & M) ^ v2
-    v2 = (v2 << 32 | v2 >> 32) & M
-    return v0 ^ v1 ^ v2 ^ v3
+def siphash24(key: bytes, data: bytes) -> int:
+    """Hash ``data`` under a 16-byte ``key``; returns a 64-bit integer."""
+    if len(key) != 16:
+        raise ValueError("siphash key must be 16 bytes")
+    return siphash24_words(*_KEY_WORDS.unpack(key), _message_words(data))
 
 
 def siphash24_digest(key: bytes, data: bytes) -> bytes:
@@ -278,14 +143,7 @@ def siphash24_many(keys: Sequence[bytes], data: bytes) -> list[int]:
     v2 = k0 ^ (0x6C7967656E657261 * rep)
     v3 = k1 ^ (0x7465646279746573 * rep)
 
-    size = len(data)
-    end = size - (size % 8)
-    words = [_WORD.unpack_from(data, off)[0] for off in range(0, end, 8)]
-    b = (size & 0xFF) << 56
-    for i, byte in enumerate(data[end:]):
-        b |= byte << (8 * i)
-    words.append(b)
-    for w in words:
+    for w in _message_words(data):
         m = w * rep
         v3 ^= m
         v0, v1, v2, v3 = _sip_rounds(v0, v1, v2, v3, 2, masks)

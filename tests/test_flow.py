@@ -18,7 +18,7 @@ from msectun.flow import (
     WindowStatus,
     new_bidf,
 )
-from msectun.frame import BROADCAST_MAC, Sci
+from msectun.frame import BROADCAST_MAC, Sci, is_broadcast
 from msectun.gateway import Scheme
 from msectun.pair import EnginePair
 
@@ -158,7 +158,10 @@ def _register(table, dst=DST, start_pn=1, sci=SCI, an=0):
 
 
 class UnboundFlows(DownlinkFlows):
-    bind_flows = False
+    """Flow tables in which each cast has an SA record, and a window, of its own."""
+
+    def _sa_key(self, sci, an, dst):
+        return sci, an, is_broadcast(dst)
 
 
 def test_bind_links_and_shares_window():

@@ -16,6 +16,7 @@ from msectun.frame import (
     build_macsec,
     endpoint_protect,
     endpoint_verify,
+    is_broadcast,
     parse_macsec,
 )
 from msectun.idf import (
@@ -34,7 +35,8 @@ DST = b"\x02\x00\x00\x00\x00\x02"
 class UnboundIdfDownlink(IdfDownlink):
     """Identifier tables that never bind a unicast and a broadcast flow."""
 
-    bind_flows = False
+    def _sa_key(self, sci, an, dst):
+        return sci, an, is_broadcast(dst)
 
 
 class CountingIdfDownlink(UnboundIdfDownlink):

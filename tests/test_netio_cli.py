@@ -2,6 +2,7 @@
 
 import json
 import os
+import select
 import socket
 import struct
 import subprocess
@@ -113,6 +114,30 @@ def test_silent_mgmt_connection_does_not_block_peers():
             r.stop()
 
 
+def test_silent_handshakes_do_not_delay_accepts():
+    """Three connections that never name themselves hold up no later
+    peer: each handshake is read by its own connection's thread."""
+    runners, ports = _runner_pair(Scheme.NAIVE)
+    gw_b = runners["B"]
+    gw_b.start()
+    mgmt_addr = ("127.0.0.1", ports["B"]["mgmt"])
+    silent = [socket.create_connection(mgmt_addr) for _ in range(3)]
+    try:
+        with socket.create_connection(mgmt_addr) as peer:
+            start = time.monotonic()
+            peer.sendall(struct.pack(">H", 3) + b"gwA" + encode_message(MgmtMessage.hello()))
+            _wait_for(lambda: gw_b.engine.peers["gwA"].last_hello is not None, 5)
+            delay = time.monotonic() - start
+        assert gw_b.engine.peers["gwA"].last_hello is not None
+        # one silent handshake read in line would cost its whole 1 s timeout
+        assert delay < 0.9
+    finally:
+        for sock in silent:
+            sock.close()
+        for r in runners.values():
+            r.stop()
+
+
 def test_mgmt_messages_leave_only_on_dialed_connections():
     """A stranger that connects to A's management port as gwB is sent
     nothing: A's REKEY and FLOW_ANNOUNCE go to gwB's configured address.
@@ -172,6 +197,42 @@ def test_failed_mgmt_send_closes_its_connection():
     finally:
         for r in runners.values():
             r.stop()
+
+
+def test_mgmt_send_redials_a_connection_the_peer_closed():
+    """A message for a peer that closed the dialed connection goes out on
+    a new connection, not into the dead one."""
+    real_b = socket.create_server(("127.0.0.1", 0))
+    real_b.settimeout(5)
+    ports = {k: _udp_port() for k in ("tun", "mgmt", "lan")}
+    runner = GatewayRunner(
+        GatewayConfig(own_id="gwA", peers=["gwB"], scheme=Scheme.NAIVE),
+        tun_listen=("127.0.0.1", ports["tun"]),
+        mgmt_listen=("127.0.0.1", ports["mgmt"]),
+        lan_listen=("127.0.0.1", ports["lan"]),
+        lan_peer=None,
+        peer_endpoints={"gwB": PeerEndpoints(("127.0.0.1", _udp_port()), real_b.getsockname())},
+    )
+    hello = encode_message(MgmtMessage.hello())
+    expected = struct.pack(">H", 3) + b"gwA" + hello  # each new connection names gwA
+    try:
+        assert runner._send_mgmt("gwB", hello)
+        dialed = runner._mgmt_conns["gwB"]
+        conn, _ = real_b.accept()
+        with conn:
+            conn.settimeout(5)
+            assert conn.recv(len(expected), socket.MSG_WAITALL) == expected
+        # the peer's close has reached A's end of the connection
+        _wait_for(lambda: select.select([dialed], [], [], 0)[0], 5)
+        assert runner._send_mgmt("gwB", hello)
+        conn, _ = real_b.accept()
+        with conn:
+            conn.settimeout(5)
+            assert conn.recv(len(expected), socket.MSG_WAITALL) == expected
+        assert dialed.fileno() == -1
+    finally:
+        runner.stop()
+        real_b.close()
 
 
 def test_parse_hostport():
