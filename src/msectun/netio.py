@@ -56,11 +56,16 @@ def _recv_exact(conn: socket.socket, n: int) -> bytes:
 
 
 def _readable(conn: socket.socket) -> bool:
-    """Whether ``conn`` has bytes or an end of stream to read now."""
-    try:
-        return bool(select.select([conn], [], [], 0)[0])
-    except ValueError:  # closed by ``stop``: nothing can be written to it
+    """Whether ``conn`` has bytes, an end of stream or an error to read now.
+
+    ``poll``, unlike ``select``, takes descriptors at or above FD_SETSIZE.
+    """
+    fd = conn.fileno()
+    if fd < 0:  # closed by ``stop``: nothing can be written to it
         return True
+    poller = select.poll()
+    poller.register(fd, select.POLLIN)
+    return bool(poller.poll(0))
 
 
 @dataclass

@@ -1,7 +1,9 @@
 """Real-socket mode and the command line front ends."""
 
+import fcntl
 import json
 import os
+import resource
 import select
 import socket
 import struct
@@ -230,6 +232,44 @@ def test_mgmt_send_redials_a_connection_the_peer_closed():
             conn.settimeout(5)
             assert conn.recv(len(expected), socket.MSG_WAITALL) == expected
         assert dialed.fileno() == -1
+    finally:
+        runner.stop()
+        real_b.close()
+
+
+def test_mgmt_send_keeps_a_live_connection_past_fd_setsize():
+    """A live dialed connection whose descriptor is at or above select's
+    FD_SETSIZE (1024) carries the next message: it is not taken for closed
+    and redialed, which would split the peer's message order over two
+    connections."""
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] <= 1024:
+        pytest.skip("no descriptor at or above 1024 in this process")
+    real_b = socket.create_server(("127.0.0.1", 0))
+    real_b.settimeout(5)
+    ports = {k: _udp_port() for k in ("tun", "mgmt", "lan")}
+    runner = GatewayRunner(
+        GatewayConfig(own_id="gwA", peers=["gwB"], scheme=Scheme.NAIVE),
+        tun_listen=("127.0.0.1", ports["tun"]),
+        mgmt_listen=("127.0.0.1", ports["mgmt"]),
+        lan_listen=("127.0.0.1", ports["lan"]),
+        lan_peer=None,
+        peer_endpoints={"gwB": PeerEndpoints(("127.0.0.1", _udp_port()), real_b.getsockname())},
+    )
+    hello = encode_message(MgmtMessage.hello())
+    expected = struct.pack(">H", 3) + b"gwA" + hello
+    try:
+        assert runner._send_mgmt("gwB", hello)
+        conn, _ = real_b.accept()
+        with conn:
+            conn.settimeout(5)
+            assert conn.recv(len(expected), socket.MSG_WAITALL) == expected
+            dialed = runner._mgmt_conns["gwB"]
+            high = socket.socket(fileno=fcntl.fcntl(dialed.fileno(), fcntl.F_DUPFD_CLOEXEC, 1024))
+            runner._mgmt_conns["gwB"] = high
+            dialed.close()
+            assert runner._send_mgmt("gwB", hello)
+            assert conn.recv(len(hello), socket.MSG_WAITALL) == hello
+        assert runner._mgmt_conns["gwB"] is high
     finally:
         runner.stop()
         real_b.close()

@@ -13,7 +13,6 @@ command times two trees:
     PYTHONPATH=src python3 tools/time_primitives.py
 """
 
-import argparse
 import random
 import statistics
 import time
@@ -22,41 +21,39 @@ from msectun.idf import derive_ridf, derive_ridfs
 from msectun.siphash import siphash24
 
 WINDOW = 64
+ROUNDS = 11  # interleaved rounds; the median is taken over these
+CALLS = 50_000  # calls per primitive per round
 
 
-def _cases(calls: int):
+def _cases():
     """(name, identifiers per call, zero-argument callable) per primitive."""
     rng = random.Random(22)
     bidf, key, msg = rng.randbytes(16), rng.randbytes(16), rng.randbytes(16)
     pns = list(range(1, WINDOW + 1))
 
     def one():
-        for pn in range(1, calls + 1):
+        for pn in range(1, CALLS + 1):
             derive_ridf(bidf, pn)
 
     def window():
-        for _ in range(max(1, calls // WINDOW)):
+        for _ in range(CALLS // WINDOW):
             derive_ridfs(bidf, pns)
 
     def scalar():
-        for _ in range(calls):
+        for _ in range(CALLS):
             siphash24(key, msg)
 
     return [
-        ("idf.derive_ridf", calls, one),
-        (f"idf.derive_ridfs@{WINDOW} (per identifier)", max(1, calls // WINDOW) * WINDOW, window),
-        ("siphash24 16 B", calls, scalar),
+        ("idf.derive_ridf", CALLS, one),
+        (f"idf.derive_ridfs@{WINDOW} (per identifier)", CALLS // WINDOW * WINDOW, window),
+        ("siphash24 16 B", CALLS, scalar),
     ]
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--rounds", type=int, default=11, help="interleaved rounds (default 11)")
-    ap.add_argument("--calls", type=int, default=50_000, help="calls per round (default 50000)")
-    args = ap.parse_args()
-    cases = _cases(args.calls)
+    cases = _cases()
     samples = {name: [] for name, _, _ in cases}
-    for _ in range(args.rounds):
+    for _ in range(ROUNDS):
         for name, count, run in cases:
             t0 = time.perf_counter_ns()
             run()
