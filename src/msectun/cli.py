@@ -72,10 +72,6 @@ def gw_main(argv=None) -> int:
             peers[name] = PeerEndpoints(parse_hostport(ep["tunnel"]), parse_hostport(ep["mgmt"]))
         key = "pair_secrets"
         pair_secrets = {name: bytes.fromhex(sec) for name, sec in raw.get(key, {}).items()}
-        key = "peers"
-        config = GatewayConfig(
-            own_id, list(peers), scheme=scheme, window=window, pair_secrets=pair_secrets
-        )
         key = "--tun-listen" if args.tun_listen else "tun_listen"
         tun_listen = parse_hostport(
             args.tun_listen or raw.get("tun_listen", f"127.0.0.1:{encap.DEFAULT_TUNNEL_PORT}")
@@ -90,6 +86,12 @@ def gw_main(argv=None) -> int:
         parser.error(f"{key}: missing {e}")
     except (AttributeError, TypeError, ValueError) as e:
         parser.error(f"{key}: {e}")
+    try:
+        config = GatewayConfig(
+            own_id, list(peers), scheme=scheme, window=window, pair_secrets=pair_secrets
+        )
+    except ValueError as e:
+        parser.error(str(e))  # the message names its field
 
     runner = GatewayRunner(
         config,

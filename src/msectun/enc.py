@@ -24,9 +24,11 @@ import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import mgmt
 from .aes import Aes128
+from .encap import EncapScheme
 from .frame import ETHERTYPE_MACSEC, ICV_LEN, is_broadcast
-from .flow import DEFAULT_WINDOW, DecodeResult, DownlinkFlows, Sci, WindowStatus
+from .flow import DecodeResult, DownlinkFlows, Sci, WindowStatus
 
 HEADER_BYTES = 32  # two cipher blocks
 MIN_FRAME = HEADER_BYTES + ICV_LEN  # needs 4+ bytes of secure data
@@ -107,29 +109,51 @@ def header_decrypt(c1: bytes, c2: bytes, cipher: Aes128) -> tuple[bytes, bytes]:
 
 
 class EncTunnel(DownlinkFlows):
-    """Uplink encoder and downlink decoder plus flow state.
+    """The header-encryption scheme: its encoder, its key rotation and its
+    downlink decoder over the core flow table.
 
-    The core table keys flows by base identifier; decode finds a flow by
-    the decrypted SCI and AN in the core's SA records and by the
-    destination in the SA's cast slot, since the header fields must hit
-    a registered entry and pass its replay window before a frame is
-    released.
+    Each peer's ``send`` and ``recv`` are a ``PairKeys``.  The core table
+    keys flows by base identifier; decode finds a flow by the decrypted
+    SCI and AN in the core's SA records and by the destination in the
+    SA's cast slot, since the header fields must hit a registered entry
+    and pass its replay window before a frame is released.
     """
 
-    def __init__(self, window_size: int = DEFAULT_WINDOW):
-        super().__init__(window_size)
-        self.block_ops_uplink = 0
-        self.block_ops_downlink = 0
+    tag = EncapScheme.ENC
+    needs_announce = True
+
+    def peer_state(self, send_key, recv_key):
+        return PairKeys(send_key), PairKeys(recv_key)
 
     # -- uplink --------------------------------------------------------------
 
-    def encode(self, raw_frame: bytes, key: TunnelKey) -> Optional[bytes]:
-        """Encrypt the leading 256 bits; None if the frame is too short."""
-        if len(raw_frame) < MIN_FRAME:
+    def encode(self, raw, pn, cast, targets):
+        """Encrypt the leading 256 bits under each target's current key;
+        None if the frame is too short."""
+        if len(raw) < MIN_FRAME:
             return None
-        c1, c2 = header_encrypt(raw_frame[:16], raw_frame[16:32], key.cipher)
-        self.block_ops_uplink += 2
-        return bytes([key.epoch & 0xFF]) + c1 + c2 + raw_frame[32:]
+        block1, block2, rest = raw[:16], raw[16:32], raw[32:]
+        bodies = []
+        for peer in targets:
+            key = peer.send.current
+            c1, c2 = header_encrypt(block1, block2, key.cipher)
+            bodies.append((bytes([key.epoch & 0xFF]) + c1 + c2 + rest, (peer,)))
+        self.block_ops_uplink += 2 * len(bodies)
+        return bodies
+
+    def on_new_sa(self, peers, now):
+        """A tunneled SA changed: rotate send-direction keys everywhere."""
+        notices = []
+        for peer in peers:
+            keys = peer.send
+            new_key = self._rand_bytes(16)
+            epoch = keys.current.epoch + 1
+            notices.append((peer, mgmt.MgmtMessage.rekey(epoch, new_key)))
+            keys.rotate(new_key, epoch, now)
+        return notices
+
+    def on_rekey(self, msg, peer, now):
+        peer.recv.rotate(msg.key, msg.epoch, now)
 
     # -- announcements -------------------------------------------------------
 

@@ -7,7 +7,8 @@ security association: everything the gateway knows of that flow.  The
 downlink side mirrors it: one ``DownlinkSa`` per (SCI, AN) holds the
 SA's one replay window and its unicast and broadcast flows, which the
 downlink flow table also keys by base identifier; the identifier table
-is keyed by rotating identifier.
+is keyed by rotating identifier.  ``DownlinkFlows`` is also the naive
+scheme; each other scheme is a subclass of it.
 
 Flow learning looks entries up by three more keys, each kept as an
 index by the table that owns the data, so that control-plane work does
@@ -27,7 +28,8 @@ from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from .frame import Sci, is_broadcast
+from .encap import EncapScheme
+from .frame import MIN_FRAME_LEN, Sci, is_broadcast
 
 if TYPE_CHECKING:
     from .mgmt import MgmtMessage
@@ -216,10 +218,33 @@ class DecodeResult:
 class DownlinkFlows:
     """Downlink flow table: the flows peers announced, one record per SA.
 
-    One core for every scheme.  ``flows`` keys each flow by base
-    identifier; the flow sits in the unicast or broadcast slot of its
-    SA's ``DownlinkSa``, whose window both slots share.  ``register``
-    applies an announcement to its slot:
+    One core for every scheme, and the naive scheme's codec itself; each
+    other scheme is a subclass that overrides what it changes.  The
+    gateway builds one instance for its configured scheme and never asks
+    which scheme it runs.  Each ``peer`` below is a ``gateway.Peer``,
+    whose ``send`` and ``recv`` hold the scheme's state for that peer:
+
+    - ``tag``: the carrier scheme byte of its datagrams
+    - ``peer_state(send_key, recv_key)``: the (send, recv) state of one
+      peer, from the two directional keys the gateways share
+    - ``encode(raw, pn, cast, targets)``: the (body, peers) pairs to
+      send for one LAN frame, its wire bytes and PN, of the flow
+      ``cast`` (a ``UplinkCast``), or None if the frame is too short
+      for the scheme
+    - ``decode(body, recv, now)``: a ``DecodeResult``, the frame or a
+      drop reason, for a body from the peer whose ``recv`` is given
+    - ``needs_announce``: whether ``decode`` needs the flow's
+      announcement, so a peer still owed it is sent none of its datagrams
+    - ``on_new_sa(peers, now)``: the (peer, management message) pairs a
+      new uplink SA calls for
+    - ``on_rekey(msg, peer, now)``: take a peer's key rotation
+    - the crypto-operation counters, named as their ``GatewayStats``
+      fields: ``hash_calls_uplink``, ``hash_calls_downlink``,
+      ``block_ops_uplink``, ``block_ops_downlink``, ``ridf_collisions``
+
+    ``flows`` keys each flow by base identifier; the flow sits in the
+    unicast or broadcast slot of its SA's ``DownlinkSa``, whose window
+    both slots share.  ``register`` applies an announcement to its slot:
 
     - new SA: a fresh window at the announced PN;
     - join, the SA holds only the other cast: if the SA's window and a
@@ -242,12 +267,39 @@ class DownlinkFlows:
     pipeline owns the instance.
     """
 
-    def __init__(self, window_size: int = DEFAULT_WINDOW):
+    tag = EncapScheme.NAIVE
+    needs_announce = False
+    hash_calls_uplink = hash_calls_downlink = 0
+    block_ops_uplink = block_ops_downlink = 0
+    ridf_collisions = 0
+
+    def __init__(self, window_size: int = DEFAULT_WINDOW, rand_bytes=secrets.token_bytes):
         self.window_size = window_size
+        # ``rand_bytes(n)``: n random bytes, for a scheme's keys and nonces
+        self._rand_bytes = rand_bytes
         self.flows: dict[bytes, DownlinkFlowEntry] = {}
         self._sas: dict[tuple, DownlinkSa] = {}
         # (header dst, header src) -> flows, in ``flows`` order
         self._by_addr: dict[tuple[bytes, bytes], list[DownlinkFlowEntry]] = {}
+
+    # -- codec -------------------------------------------------------------
+
+    def peer_state(self, send_key: bytes, recv_key: bytes) -> tuple:
+        return None, None
+
+    def encode(self, raw: bytes, pn: int, cast: UplinkCast, targets):
+        return ((raw, targets),)
+
+    def decode(self, body: bytes, recv=None, now: int = 0) -> DecodeResult:
+        if len(body) < MIN_FRAME_LEN:
+            return DecodeResult(reason="malformed")
+        return DecodeResult(frame=body)
+
+    def on_new_sa(self, peers, now: int):
+        return ()
+
+    def on_rekey(self, msg: MgmtMessage, peer, now: int) -> None:
+        pass
 
     # -- scheme hooks ------------------------------------------------------
 

@@ -11,10 +11,12 @@ scheme, so per-frame block counts are directly comparable.  Wire body:
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
 from typing import Optional
 
 from .aes import Aes128
-from .flow import DecodeResult
+from .encap import EncapScheme
+from .flow import DecodeResult, DownlinkFlows
 
 NONCE_LEN = 13  # 15 - L with L = 2
 PREFIX_LEN = 5  # the nonce's per-sender part; an 8-byte counter follows
@@ -88,32 +90,47 @@ def ccm_decrypt(
     return plaintext, ops
 
 
-class FullEncTunnel:
-    """Whole-frame AEAD encode/decode with per-direction keys.
+@dataclass(slots=True, eq=False)
+class FullEncSender:
+    """One peer's send direction: a nonce is ``prefix`` and a counter from 1.
 
-    A nonce is ``nonce_prefix`` and a counter from 1.  A sender draws its
-    prefix at random when it starts, so a restart repeats no nonce under
-    the same key; a tunnel that only decodes needs none.
+    The prefix is drawn at random when the gateway starts, so a restart
+    repeats no nonce under the same key.
     """
 
-    def __init__(self, key: bytes, nonce_prefix: bytes = b""):
-        self.cipher = Aes128(key)
-        self._nonce_prefix = nonce_prefix
-        self._counter = 0
-        self.block_ops_uplink = 0
-        self.block_ops_downlink = 0
+    cipher: Aes128
+    prefix: bytes
+    counter: int = 0
 
-    def encode(self, raw_frame: bytes) -> bytes:
-        self._counter += 1
-        nonce = self._nonce_prefix + struct.pack(">Q", self._counter)
-        sealed, ops = ccm_encrypt(self.cipher, nonce, raw_frame)
-        self.block_ops_uplink += ops
-        return nonce + sealed
 
-    def decode(self, body: bytes) -> DecodeResult:
+class FullEncTunnel(DownlinkFlows):
+    """Whole-frame AEAD encode/decode with per-direction keys.
+
+    Each peer's ``send`` is a ``FullEncSender`` and its ``recv`` the
+    ``Aes128`` of the key that peer sends under.  No flow is announced,
+    so the core flow table stays empty.
+    """
+
+    tag = EncapScheme.FULLENC
+
+    def peer_state(self, send_key, recv_key):
+        return FullEncSender(Aes128(send_key), self._rand_bytes(PREFIX_LEN)), Aes128(recv_key)
+
+    def encode(self, raw, pn, cast, targets):
+        bodies = []
+        for peer in targets:
+            send = peer.send
+            send.counter += 1
+            nonce = send.prefix + struct.pack(">Q", send.counter)
+            sealed, ops = ccm_encrypt(send.cipher, nonce, raw)
+            self.block_ops_uplink += ops
+            bodies.append((nonce + sealed, (peer,)))
+        return bodies
+
+    def decode(self, body: bytes, recv: Aes128, now: int) -> DecodeResult:
         if len(body) < NONCE_LEN + TAG_LEN:
             return DecodeResult(reason=REASON_MALFORMED)
-        plaintext, ops = ccm_decrypt(self.cipher, body[:NONCE_LEN], body[NONCE_LEN:])
+        plaintext, ops = ccm_decrypt(recv, body[:NONCE_LEN], body[NONCE_LEN:])
         self.block_ops_downlink += ops
         if plaintext is None:
             return DecodeResult(reason=REASON_AUTH_FAIL)

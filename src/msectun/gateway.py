@@ -21,11 +21,10 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 from . import encap, enc as enc_mod, frame as fr, fullenc as fullenc_mod, idf as idf_mod, mgmt
-from .enc import MIN_FRAME as ENC_MIN_FRAME, EncTunnel, PairKeys
+from .enc import EncTunnel
 from .flow import (
     DEFAULT_FLOW_TIMEOUT_US,
     DEFAULT_WINDOW,
-    DecodeResult,
     DownlinkFlows,
     HeaderData,
     UplinkCast,
@@ -34,7 +33,7 @@ from .flow import (
     new_bidf,
 )
 from .frame import BROADCAST_MAC, is_broadcast
-from .fullenc import PREFIX_LEN, FullEncTunnel
+from .fullenc import FullEncTunnel
 from .idf import IdfDownlink
 
 log = logging.getLogger(__name__)
@@ -64,6 +63,8 @@ QUEUE_LIMIT = 128
 # key-agreement frames held per peer while its management channel refuses
 MKA_SLOTS = 16
 HELLO_INTERVAL_US = 5_000_000
+# a configured pair secret is at least one AES-128 key long
+MIN_SECRET_LEN = 16
 
 
 class Scheme(enum.Enum):
@@ -86,18 +87,28 @@ class GatewayConfig:
     pair_secrets: dict[str, bytes] = field(default_factory=dict)
 
     def __post_init__(self):
+        """Each error names its field, as ``msec-gw`` reports it."""
         if isinstance(self.scheme, str):
             self.scheme = Scheme(self.scheme)
         if not self.peers:
-            raise ValueError("a gateway needs at least one peer")
+            raise ValueError("peers: a gateway needs at least one peer")
         if self.own_id in self.peers:
-            raise ValueError("own id listed as peer")
+            raise ValueError("peers: own id listed as peer")
         if self.window < 1:
-            raise ValueError("window size must be >= 1")
+            raise ValueError("window: window size must be >= 1")
+        for name, secret in self.pair_secrets.items():
+            if name not in self.peers:
+                raise ValueError(f"pair_secrets.{name}: not a peer")
+            if len(secret) < MIN_SECRET_LEN:
+                raise ValueError(f"pair_secrets.{name}: shorter than {MIN_SECRET_LEN} bytes")
 
 
 @dataclass
 class GatewayStats:
+    """Gateway counters.  The five crypto counters, ``hash_calls_uplink``
+    to ``ridf_collisions``, are the scheme's: the live ``engine.stats``
+    leaves them at 0 and ``snapshot_stats`` fills them in."""
+
     frames_tunneled: int = 0
     frames_reconstructed: int = 0
     datagrams_sent: int = 0
@@ -163,151 +174,17 @@ class Peer:
     last_hello: Optional[int] = None
 
 
-class SchemeCodec:
-    """One scheme's wire codec; this base class is the naive passthrough.
-
-    The gateway builds one codec for its configured scheme and never
-    asks which scheme it runs.  Each ``peer`` below is a ``Peer`` record,
-    which holds the codec's state for that peer.  It provides:
-
-    - ``tag``: the carrier scheme byte of its datagrams
-    - ``downlink``: its downlink flow table, a ``flow.DownlinkFlows``;
-      announcements register into it and expiries remove from it
-    - ``peer_state(own, name, secret)``: the (send, recv) state of one
-      peer, from the secret the two gateways share
-    - ``encode(raw, pn, cast, targets)``: the (body, peers) pairs to
-      send for one LAN frame, its wire bytes and PN, of the flow
-      ``cast`` (a ``flow.UplinkCast``), or None if the frame is too
-      short for the scheme
-    - ``decode(body, peer, now)``: a ``DecodeResult``, the frame or a
-      drop reason
-    - ``needs_announce``: whether ``decode`` needs the flow's
-      announcement, so a peer still owed it is sent none of its datagrams
-    - ``on_new_sa(peers, now)``: the (peer, management message) pairs a
-      new uplink SA calls for
-    - ``on_rekey(msg, peer, now)``: take a peer's key rotation
-    - ``counters(peers)``: its crypto-operation counters by
-      ``GatewayStats`` field name
-    """
-
-    tag = encap.EncapScheme.NAIVE
-    table = DownlinkFlows
-    needs_announce = False
-
-    def __init__(self, config: GatewayConfig, rand_bytes: Callable[[int], bytes]):
-        self.downlink = self.table(config.window)
-        self._rand_bytes = rand_bytes
-
-    def peer_state(self, own: str, name: str, secret: bytes) -> tuple:
-        return None, None
-
-    def encode(self, raw: bytes, pn: int, cast: UplinkCast, targets):
-        return ((raw, targets),)
-
-    def decode(self, body: bytes, peer: Peer, now: int) -> DecodeResult:
-        if len(body) < fr.MIN_FRAME_LEN:
-            return DecodeResult(reason="malformed")
-        return DecodeResult(frame=body)
-
-    def on_new_sa(self, peers, now: int):
-        return ()
-
-    def on_rekey(self, msg: mgmt.MgmtMessage, peer: Peer, now: int) -> None:
-        pass
-
-    def counters(self, peers) -> dict:
-        return {}
-
-
-class IdfCodec(SchemeCodec):
-    tag = encap.EncapScheme.IDF
-    table = IdfDownlink
-    needs_announce = True
-
-    def __init__(self, config: GatewayConfig, rand_bytes: Callable[[int], bytes]):
-        super().__init__(config, rand_bytes)
-        self.hash_calls_uplink = 0
-
-    def encode(self, raw, pn, cast, targets):
-        body = idf_mod.uplink_encode(raw, pn, cast.bidf)
-        self.hash_calls_uplink += 1
-        return ((body, targets),)
-
-    def decode(self, body, peer, now):
-        return self.downlink.decode(body)
-
-    def counters(self, peers):
-        return {
-            "hash_calls_uplink": self.hash_calls_uplink,
-            "hash_calls_downlink": self.downlink.hash_calls,
-            "ridf_collisions": self.downlink.ridf_collisions,
-        }
-
-
-class EncCodec(SchemeCodec):
-    tag = encap.EncapScheme.ENC
-    table = EncTunnel
-    needs_announce = True
-
-    def peer_state(self, own, name, secret):
-        return PairKeys(_directional_key(secret, own)), PairKeys(_directional_key(secret, name))
-
-    def encode(self, raw, pn, cast, targets):
-        if len(raw) < ENC_MIN_FRAME:
-            return None
-        tunnel = self.downlink
-        return [(tunnel.encode(raw, p.send.current), [p]) for p in targets]
-
-    def decode(self, body, peer, now):
-        return self.downlink.decode(body, peer.recv, now)
-
-    def on_new_sa(self, peers, now):
-        """A tunneled SA changed: rotate send-direction keys everywhere."""
-        notices = []
-        for peer in peers:
-            keys = peer.send
-            new_key = self._rand_bytes(16)
-            epoch = keys.current.epoch + 1
-            notices.append((peer, mgmt.MgmtMessage.rekey(epoch, new_key)))
-            keys.rotate(new_key, epoch, now)
-        return notices
-
-    def on_rekey(self, msg, peer, now):
-        peer.recv.rotate(msg.key, msg.epoch, now)
-
-    def counters(self, peers):
-        return {
-            "block_ops_uplink": self.downlink.block_ops_uplink,
-            "block_ops_downlink": self.downlink.block_ops_downlink,
-        }
-
-
-class FullEncCodec(SchemeCodec):
-    tag = encap.EncapScheme.FULLENC
-
-    def peer_state(self, own, name, secret):
-        send = FullEncTunnel(_directional_key(secret, own), self._rand_bytes(PREFIX_LEN))
-        return send, FullEncTunnel(_directional_key(secret, name))
-
-    def encode(self, raw, pn, cast, targets):
-        return [(p.send.encode(raw), [p]) for p in targets]
-
-    def decode(self, body, peer, now):
-        return peer.recv.decode(body)
-
-    def counters(self, peers):
-        return {
-            "block_ops_uplink": sum(p.send.block_ops_uplink for p in peers),
-            "block_ops_downlink": sum(p.recv.block_ops_downlink for p in peers),
-        }
-
-
 _CODECS = {
-    Scheme.NAIVE: SchemeCodec,
-    Scheme.IDF: IdfCodec,
-    Scheme.ENC: EncCodec,
-    Scheme.FULLENC: FullEncCodec,
+    Scheme.NAIVE: DownlinkFlows,
+    Scheme.IDF: IdfDownlink,
+    Scheme.ENC: EncTunnel,
+    Scheme.FULLENC: FullEncTunnel,
 }
+# the scheme's counters that ``snapshot_stats`` copies
+_CRYPTO_COUNTERS = (
+    "hash_calls_uplink", "hash_calls_downlink", "block_ops_uplink", "block_ops_downlink",
+    "ridf_collisions",
+)
 
 
 class GatewayEngine:
@@ -345,18 +222,19 @@ class GatewayEngine:
         self._queued: dict[bytes, UplinkCast] = {}
         self._last_hello = 0
 
-        self.codec = _CODECS[config.scheme](config, self._rand_bytes)
+        # the scheme: its codec and its downlink flow table in one object
+        self.codec = _CODECS[config.scheme](config.window, self._rand_bytes)
         self.peers: dict[str, Peer] = {}
+        own = config.own_id
         for name in config.peers:
-            secret = config.pair_secrets.get(name) or _default_pair_secret(config.own_id, name)
-            self.peers[name] = Peer(name, *self.codec.peer_state(config.own_id, name, secret))
+            secret = config.pair_secrets.get(name) or _default_pair_secret(own, name)
+            keys = _directional_key(secret, own), _directional_key(secret, name)
+            self.peers[name] = Peer(name, *self.codec.peer_state(*keys))
         # peers are fixed: the per-frame path reads these, not the dict
         self._all_peers = tuple(self.peers.values())
         self._boxes = tuple(p.outbox for p in self._all_peers)
-        # the identifier tables, for callers that inspect them
-        self.idf_downlink: Optional[IdfDownlink] = (
-            self.codec.downlink if config.scheme is Scheme.IDF else None
-        )
+        # the identifier scheme's tables, for callers that inspect them
+        self.idf_downlink = self.codec if config.scheme is Scheme.IDF else None
 
     # -- helpers ---------------------------------------------------------
 
@@ -537,7 +415,7 @@ class GatewayEngine:
 
     def _learn_from_uplink(self, raw: bytes) -> None:
         """Reverse traffic for an announced flow: tell the announcer."""
-        for flow in self.codec.downlink.addressed(raw[6:12], raw[:6]):
+        for flow in self.codec.addressed(raw[6:12], raw[:6]):
             if not flow.learned:
                 flow.learned = True
                 self._mgmt_out(self.peers[flow.origin], mgmt.MgmtMessage.learned(flow.bidf))
@@ -559,7 +437,7 @@ class GatewayEngine:
         if scheme_tag is not self.codec.tag:
             self._drop("scheme_mismatch")
             return
-        res = self.codec.decode(body, peer, now)
+        res = self.codec.decode(body, peer.recv, now)
         if not res.ok:
             self._drop(res.reason)
             return
@@ -589,9 +467,9 @@ class GatewayEngine:
             self._handle_learned(msg.bidf, peer.name)
         elif kind is mgmt.MgmtKind.FLOW_EXPIRE:
             # only the gateway that announced a flow may end it
-            flow = self.codec.downlink.flows.get(msg.bidf)
+            flow = self.codec.flows.get(msg.bidf)
             if flow is not None and flow.origin == peer.name:
-                self.codec.downlink.remove(msg.bidf)
+                self.codec.remove(msg.bidf)
         elif kind is mgmt.MgmtKind.REKEY:
             self.codec.on_rekey(msg, peer, now)
         elif kind is mgmt.MgmtKind.MKA_FORWARD:
@@ -601,7 +479,7 @@ class GatewayEngine:
             peer.last_hello = now
 
     def _handle_announce(self, msg: mgmt.MgmtMessage, peer: Peer) -> None:
-        flow = self.codec.downlink.register(msg.bidf, msg.header, msg.pn, peer.name)
+        flow = self.codec.register(msg.bidf, msg.header, msg.pn, peer.name)
         # announce may arrive after we already carry the reverse flow
         if not flow.learned and self.uplink.has_unicast(msg.header.dst, msg.header.src):
             flow.learned = True
@@ -642,5 +520,5 @@ class GatewayEngine:
             s,
             drops=Counter(s.drops),
             warnings=Counter(s.warnings),
-            **self.codec.counters(self._all_peers),
+            **{name: getattr(self.codec, name) for name in _CRYPTO_COUNTERS},
         )

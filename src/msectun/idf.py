@@ -16,14 +16,9 @@ from __future__ import annotations
 import struct
 from array import array
 
+from .encap import EncapScheme
 from .frame import ETHERTYPE_MACSEC, ICV_LEN
-from .flow import (
-    DEFAULT_WINDOW,
-    DecodeResult,
-    DownlinkFlowEntry,
-    DownlinkFlows,
-    WindowStatus,
-)
+from .flow import DecodeResult, DownlinkFlowEntry, DownlinkFlows, WindowStatus
 from .siphash import siphash24_many, siphash24_words
 
 MIN_BODY = 8 + 2 + 2 + ICV_LEN
@@ -80,7 +75,8 @@ def uplink_encode(raw: bytes, pn: int, bidf: bytes) -> bytes:
 
 
 class IdfDownlink(DownlinkFlows):
-    """Downlink flow and identifier tables plus the decode path.
+    """The identifier scheme: its uplink encoder, and its downlink flow
+    and identifier tables with the decode path.
 
     Flows are keyed by base identifier, as in the core table.  The
     identifier table ``ids`` maps each rotating identifier to the flow
@@ -101,20 +97,26 @@ class IdfDownlink(DownlinkFlows):
     (register: a new SA, a join or a window reset) derives a flow's
     missing PNs in one batch with ``derive_ridfs``; the per-frame slide
     in ``decode`` derives each new PN with the scalar ``derive_ridf``.
-    Either way ``hash_calls`` counts one per identifier derived.
+    Either way ``hash_calls_downlink`` counts one per identifier
+    derived; ``encode`` counts one ``hash_calls_uplink`` per frame.
     """
 
-    def __init__(self, window_size: int = DEFAULT_WINDOW):
-        super().__init__(window_size)
+    tag = EncapScheme.IDF
+    needs_announce = True
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.ids: dict[int, DownlinkFlowEntry] = {}
-        self.hash_calls = 0
-        self.ridf_collisions = 0
+
+    def encode(self, raw, pn, cast, targets):
+        self.hash_calls_uplink += 1
+        return ((uplink_encode(raw, pn, cast.bidf), targets),)
 
     # -- table maintenance -------------------------------------------------
 
     def _insert_id(self, flow: DownlinkFlowEntry, pn: int, ridf: int) -> None:
         # every derived identifier comes here once: count its hash
-        self.hash_calls += 1
+        self.hash_calls_downlink += 1
         slot = pn % len(flow.ring_pns)
         owner = self.ids.get(ridf)
         if owner is not None:
@@ -142,8 +144,8 @@ class IdfDownlink(DownlinkFlows):
 
         The missing PNs are derived in one batch and inserted in
         ascending PN order, so a cross-flow collision keeps the same
-        entry as one scalar hash per PN would; ``hash_calls`` still
-        grows by one per identifier derived.
+        entry as one scalar hash per PN would; ``hash_calls_downlink``
+        still grows by one per identifier derived.
         """
         if flow.ring_pns is None:
             slots = 2 * self.window_size
@@ -167,7 +169,7 @@ class IdfDownlink(DownlinkFlows):
 
     # -- decode ------------------------------------------------------------
 
-    def decode(self, body: bytes) -> DecodeResult:
+    def decode(self, body: bytes, recv=None, now: int = 0) -> DecodeResult:
         """Identifier lookup, window acceptance, frame reconstruction.
 
         A frame below its window finds no held identifier, so it counts as

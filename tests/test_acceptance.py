@@ -27,7 +27,8 @@ from msectun.frame import (
     endpoint_verify,
     parse_macsec,
 )
-from msectun.gateway import IdfCodec, Scheme
+from msectun import gateway
+from msectun.gateway import Scheme
 from msectun.mgmt import MgmtError, MgmtMessage, decode_message, encode_message
 from msectun.pair import EnginePair
 from msectun.siphash import siphash24_digest
@@ -183,7 +184,7 @@ def _binding_scenario(table: type[IdfDownlink], window: int = 64,
         window=window,
     )
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(IdfCodec, "table", table)
+        mp.setitem(gateway._CODECS, Scheme.IDF, table)
         return run_scenario(cfg)
 
 
@@ -646,7 +647,7 @@ def test_c10_fuzz_idf_decoder():
 
 def test_c10_fuzz_enc_decoder():
     pair = _fresh_pair(Scheme.ENC, frames=40)
-    tun = pair.b.codec.downlink
+    tun = pair.b.codec
     keys = pair.b.peers["A"].recv
     base = pair.captured[-1][2][8:]
     rng = random.Random(115)

@@ -14,6 +14,7 @@ from msectun.enc import (
 )
 from msectun.flow import HeaderData
 from msectun.frame import BROADCAST_MAC, Sci, endpoint_verify, parse_macsec
+from msectun.gateway import Peer
 from msectun.pair import seal
 
 KEY = bytes(range(16))
@@ -31,6 +32,13 @@ def _tunnel(pn=1, window=16, broadcast=False):
     if broadcast:
         tun.register(b"\x0b" * 16, HeaderData(BROADCAST_MAC, SCI.system_id, SCI, 0), pn)
     return tun
+
+
+def _encode(tun, raw, send):
+    """The body ``tun`` sends for ``raw`` to a peer whose send keys are
+    ``send``, or None if the frame is too short."""
+    bodies = tun.encode(raw, 1, None, [Peer("B", send, None)])
+    return None if bodies is None else bodies[0][0]
 
 
 def _keys():
@@ -128,7 +136,7 @@ def test_roundtrip_bit_exact_and_length():
     send, recv = _keys()
     for pn in range(1, 40):
         raw = _protected(pn, payload=os.urandom(random.randint(4, 90)))
-        body = tun.encode(raw, send.current)
+        body = _encode(tun, raw, send)
         assert len(body) == len(raw) + 1
         res = tun.decode(body, recv, now=0)
         assert res.ok, res.reason
@@ -139,8 +147,8 @@ def test_roundtrip_bit_exact_and_length():
 def test_ciphertext_fresh_across_pn():
     tun = _tunnel()
     send, _ = _keys()
-    a = tun.encode(_protected(1), send.current)
-    b = tun.encode(_protected(2), send.current)
+    a = _encode(tun, _protected(1), send)
+    b = _encode(tun, _protected(2), send)
     assert a[1:17] != b[1:17]
     assert a[17:33] != b[17:33]
 
@@ -148,7 +156,7 @@ def test_ciphertext_fresh_across_pn():
 def test_short_frames_refused():
     tun = _tunnel()
     send, _ = _keys()
-    assert tun.encode(b"\x00" * 47, send.current) is None
+    assert _encode(tun, b"\x00" * 47, send) is None
 
 
 def test_no_plaintext_leak():
@@ -157,7 +165,7 @@ def test_no_plaintext_leak():
     tun = EncTunnel()
     send, _ = _keys()
     pn = 0xD1D2D3D4
-    body = tun.encode(seal(KEY, dst, sci.system_id, sci, pn, bytes(60)), send.current)
+    body = _encode(tun, seal(KEY, dst, sci.system_id, sci, pn, bytes(60)), send)
     for needle in (dst, sci.system_id, sci.pack(), struct.pack(">I", pn)):
         assert needle not in body
 
@@ -165,7 +173,7 @@ def test_no_plaintext_leak():
 def test_bit_flip_header_mismatch():
     tun = _tunnel()
     send, recv = _keys()
-    body = bytearray(tun.encode(_protected(1), send.current))
+    body = bytearray(_encode(tun, _protected(1), send))
     body[3] ^= 0x10  # inside c1
     assert tun.decode(bytes(body), recv, 0).reason == "header_mismatch"
 
@@ -173,17 +181,17 @@ def test_bit_flip_header_mismatch():
 def test_replay_and_out_of_window():
     tun = _tunnel(window=4)
     send, recv = _keys()
-    body = tun.encode(_protected(1), send.current)
+    body = _encode(tun, _protected(1), send)
     assert tun.decode(body, recv, 0).ok
     assert tun.decode(body, recv, 0).reason == "replay"
-    far = tun.encode(_protected(4000), send.current)
+    far = _encode(tun, _protected(4000), send)
     assert tun.decode(far, recv, 0).reason == "out_of_window"
 
 
 def test_unknown_flow_before_announce():
     tun = EncTunnel()
     send, recv = _keys()
-    body = tun.encode(_protected(1), send.current)
+    body = _encode(tun, _protected(1), send)
     assert tun.decode(body, recv, 0).reason == "unknown_flow"
 
 
@@ -193,7 +201,7 @@ def test_bound_unicast_broadcast_share_window():
     for pn in range(1, 20):
         dst = BROADCAST_MAC if pn % 4 == 0 else DST
         raw = _protected(pn, dst=dst)
-        res = tun.decode(tun.encode(raw, send.current), recv, 0)
+        res = tun.decode(_encode(tun, raw, send), recv, 0)
         assert res.ok, (pn, res.reason)
 
 
@@ -231,7 +239,7 @@ def test_stale_expire_keeps_reannounced_flow():
     # the expire for the old identifier arrives late
     tun.register(b"\x0c" * 16, HeaderData(DST, SCI.system_id, SCI, 0), 1)
     tun.remove(b"\x0a" * 16)
-    assert tun.decode(tun.encode(_protected(1), send.current), recv, 0).ok
+    assert tun.decode(_encode(tun, _protected(1), send), recv, 0).ok
     tun.remove(b"\x0c" * 16)
     assert not any(_index_sizes(tun).values()), _index_sizes(tun)
 
@@ -258,7 +266,7 @@ def test_epoch_constant_without_rekey():
 def test_rekey_increments_and_grace():
     send, recv = _keys()
     tun = _tunnel()
-    old_body = tun.encode(_protected(1), send.current)
+    old_body = _encode(tun, _protected(1), send)
     new_key = os.urandom(16)
     assert recv.rotate(new_key, 1, now=1_000)
     send.rotate(new_key, 1, now=1_000)

@@ -295,7 +295,7 @@ def test_bidf_for_dst_class():
         pair.lan_a(raw)
     e = pair.a.uplink.get(SCI_A, 0)
     assert e.unicast.bidf != e.broadcast.bidf
-    flows = pair.b.codec.downlink.flows
+    flows = pair.b.codec.flows
     assert flows[e.unicast.bidf].header.dst == MAC_B
     assert flows[e.broadcast.bidf].header.dst == BROADCAST_MAC
     # each frame's identifier came from its own cast's bidf

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import MAC_A, MAC_B, SCI_A, SCI_B, protect
 from msectun.encap import EncapScheme, decap, encap
-from msectun.flow import HeaderData
+from msectun.flow import DEFAULT_WINDOW, HeaderData
 from msectun.frame import BROADCAST_MAC, Sci
 from msectun.fullenc import NONCE_LEN
 from msectun.gateway import (
@@ -181,9 +181,9 @@ def test_expire_counts_only_from_the_flows_origin(scheme):
     first = [protect(MAC_B, MAC_A, SCI_A, next(pns)) for _ in range(3)]
     for raw in first:
         pair.lan_a(raw)
-    [bidf] = pair.b.codec.downlink.flows
+    [bidf] = pair.b.codec.flows
     pair.b.on_mgmt_bytes(encode_message(MgmtMessage.expire(bidf)), "C", now=0)
-    assert bidf in pair.b.codec.downlink.flows
+    assert bidf in pair.b.codec.flows
     later = [protect(MAC_B, MAC_A, SCI_A, next(pns)) for _ in range(5)]
     for raw in later:
         pair.lan_a(raw)
@@ -203,11 +203,11 @@ def test_flow_state_ends_with_its_flow(scheme):
         pair.lan_a(protect(BROADCAST_MAC, mac_a, sci_a, 2))
         pair.lan_b(protect(mac_a, mac_b, sci_b, 1))  # the reply is learned
     for gw in (pair.a, pair.b):
-        assert sum(f.learned for f in gw.codec.downlink.flows.values()) == n
+        assert sum(f.learned for f in gw.codec.flows.values()) == n
     pair.a.on_timer(now=2000)
     pair.b.on_timer(now=2000)
     for gw in (pair.a, pair.b):
-        for table in (gw.codec.downlink, gw.uplink):
+        for table in (gw.codec, gw.uplink):
             sizes = {k: len(v) for k, v in vars(table).items() if isinstance(v, dict)}
             assert not any(sizes.values()), sizes
         assert len(gw.uplink) == 0
@@ -226,7 +226,7 @@ def _check_indexes(gw):
         if e.unicast.dst is not None:
             assert gw.uplink.has_unicast(e.sci.system_id, e.unicast.dst)
 
-    down = gw.codec.downlink
+    down = gw.codec
     scan = {}
     for bidf, flow in down.flows.items():
         assert flow.bidf == bidf
@@ -491,7 +491,7 @@ def test_refusing_peer_holds_back_no_retry(scheme):
     pair.lan_a(frames[0])
     refusing.discard("C")
     pair.a.on_timer(pair.now)
-    assert len(pair.gws["C"].codec.downlink.flows) == 1
+    assert len(pair.gws["C"].codec.flows) == 1
     pair.lan_a(frames[1])
     assert pair.emitted["C"] == frames
 
@@ -510,7 +510,7 @@ def test_tick_that_hands_over_the_announcement_drains_the_queue(scheme, dst):
     assert pair.emitted["B"] == []
     refusing.clear()
     pair.a.on_timer(100)
-    assert len(pair.b.codec.downlink.flows) == 1
+    assert len(pair.b.codec.flows) == 1
     assert pair.emitted["B"] == frames
     entry = pair.a.uplink.get(SCI_A, 0)
     assert entry.unicast.pending == entry.broadcast.pending == []
@@ -531,7 +531,7 @@ def test_sa_expired_before_its_announcement_leaves_no_far_flow(scheme):
     assert pair.a.uplink.get(SCI_A, 0) is None
     refusing.clear()
     pair.a.on_timer(3000)
-    assert pair.b.codec.downlink.flows == {}
+    assert pair.b.codec.flows == {}
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
@@ -548,7 +548,7 @@ def test_dst_change_before_its_announcement_leaves_only_the_new_flow(scheme):
     assert pair.a.snapshot_stats().drops == Counter(unregistered_queue_overflow=2)
     refusing.clear()
     pair.a.on_timer(pair.now)
-    flows = pair.b.codec.downlink.flows
+    flows = pair.b.codec.flows
     assert list(flows) == [pair.a.uplink.get(SCI_A, 0).unicast.bidf]
     assert [f.header.dst for f in flows.values()] == [other_dst]
     assert pair.emitted["B"] == [fresh]
@@ -652,7 +652,7 @@ def test_announce_from_non_peer_registers_nothing(scheme):
     pair = EnginePair(scheme)
     header = HeaderData(dst=MAC_A, src=MAC_B, sci=SCI_B, an=0)
     pair.a.on_mgmt_bytes(encode_message(MgmtMessage.announce(bytes(16), header, 1)), "X", 0)
-    assert pair.a.codec.downlink.flows == {}
+    assert pair.a.codec.flows == {}
     raw = protect(MAC_B, MAC_A, SCI_A, 1)
     pair.lan_a(raw)  # the announced flow's reverse traffic
     assert pair.emitted["B"] == [raw]
@@ -692,3 +692,51 @@ def test_fullenc_restart_does_not_reuse_a_nonce():
     assert first[:NONCE_LEN] != restarted[:NONCE_LEN]
     assert len(first) == len(restarted)
     assert _first_fullenc_body(random.Random(7)) == _first_fullenc_body(random.Random(7))
+
+
+@pytest.mark.parametrize(
+    "scheme,field,per_frame,peer_field,per_peer_frame",
+    [
+        # one hash per frame, whatever the number of peers; each receiver
+        # hashes its window once on the announcement, then one per frame
+        (Scheme.IDF, "hash_calls_uplink", 1, "hash_calls_downlink", 1),
+        # two blocks per frame for each of the N - 1 = 2 peers
+        (Scheme.ENC, "block_ops_uplink", 4, "block_ops_downlink", 2),
+        # an 86-byte frame is 14 CCM blocks, sealed once per peer
+        (Scheme.FULLENC, "block_ops_uplink", 28, "block_ops_downlink", 14),
+    ],
+)
+def test_broadcast_crypto_counts_with_two_peers(scheme, field, per_frame, peer_field,
+                                                per_peer_frame):
+    """A broadcast flow to two peers costs each scheme exactly its count."""
+    n = 10
+    pair = EnginePair(scheme, names=("A", "B", "C"))
+    frames = [
+        protect(BROADCAST_MAC, MAC_A, SCI_A, pn, payload=bytes(40)) for pn in range(1, n + 1)
+    ]
+    assert {len(raw) for raw in frames} == {86}
+    for raw in frames:
+        pair.lan_a(raw)
+    assert getattr(pair.a.snapshot_stats(), field) == per_frame * n
+    filled = DEFAULT_WINDOW if scheme is Scheme.IDF else 0
+    for name in "BC":
+        assert getattr(pair.gws[name].snapshot_stats(), peer_field) == filled + per_peer_frame * n
+        assert pair.emitted[name] == frames
+    assert pair.a.snapshot_stats().frames_tunneled == n
+
+
+@pytest.mark.parametrize(
+    "secrets,error",
+    [
+        ({"B": b""}, "pair_secrets.B: shorter than 16 bytes"),
+        ({"B": bytes(15)}, "pair_secrets.B: shorter than 16 bytes"),
+        ({"b": bytes(32)}, "pair_secrets.b: not a peer"),
+    ],
+    ids=["empty", "short", "not-a-peer"],
+)
+def test_pair_secret_must_reach_a_peer_and_be_a_key_long(secrets, error):
+    """A secret that would leave its peer on the public lab key is refused."""
+    with pytest.raises(ValueError) as exc:
+        GatewayConfig(own_id="A", peers=["B", "C"], scheme=Scheme.ENC, pair_secrets=secrets)
+    assert str(exc.value) == error
+    GatewayConfig(own_id="A", peers=["B", "C"], scheme=Scheme.ENC, pair_secrets={"B": bytes(16)})

@@ -47,10 +47,10 @@ class CountingIdfDownlink(UnboundIdfDownlink):
     identifiers and flow binding exist to prevent.
     """
 
-    def decode(self, body: bytes) -> DecodeResult:
+    def decode(self, body: bytes, *rest) -> DecodeResult:
         flow = self.ids.get(int.from_bytes(body[:8], "big"))
         counted = None if flow is None else flow.sa.window.lowest_unseen()
-        res = super().decode(body)
+        res = super().decode(body, *rest)
         if not res.ok:
             return res
         # the PN sits at bytes 16..19: dst(6) src(6) ethertype(2) tci(1) sl(1)
@@ -408,7 +408,7 @@ def test_batched_refill_keeps_older_entry_on_collision(monkeypatch):
     first = dn.register(b"\x01" * 16, HeaderData(DST, SCI.system_id, SCI, 0), 1)
     other = Sci(b"\x02\x00\x00\x00\x00\x09", 1)
     second = dn.register(b"\x02" * 16, HeaderData(DST, other.system_id, other, 0), 5)
-    assert dn.ridf_collisions == 4 and dn.hash_calls == 16
+    assert dn.ridf_collisions == 4 and dn.hash_calls_downlink == 16
     assert sorted(dn.held(first)) == list(range(1, 9))
     assert sorted(dn.held(second)) == list(range(9, 13))
     assert all(dn.ids[pn] is first for pn in range(5, 9))
@@ -421,10 +421,10 @@ def test_steady_state_hash_counts():
     dn = _downlink(entry, window=16)
     for pn in range(1, 6):
         dn.decode(_encode(_protected(pn)[0], entry))
-    before = dn.hash_calls
+    before = dn.hash_calls_downlink
     for pn in range(6, 106):
         assert dn.decode(_encode(_protected(pn)[0], entry)).ok
-    assert dn.hash_calls - before == 100
+    assert dn.hash_calls_downlink - before == 100
 
 
 def test_refill_hashes_only_new_identifiers():
@@ -433,26 +433,26 @@ def test_refill_hashes_only_new_identifiers():
     entry = _uplink_entry()
     dn = IdfDownlink(window_size=window)
     uni = dn.register(entry.unicast.bidf, HeaderData(DST, SCI.system_id, SCI, 0), 1)
-    assert dn.hash_calls == window
+    assert dn.hash_calls_downlink == window
     dn.audit()
     # the broadcast partner joins the SA's unicast window [1, 16]: the
     # unicast flow keeps its identifiers, only the partner is hashed
     bc = dn.register(entry.broadcast.bidf, HeaderData(BROADCAST_MAC, SCI.system_id, SCI, 0), 2)
     assert bc.sa is uni.sa and (uni.sa.window.floor, uni.sa.window.top) == (1, window)
-    assert dn.hash_calls == 2 * window
+    assert dn.hash_calls_downlink == 2 * window
     dn.audit()
     # a re-announce at PN 5 resets the shared window to [5, 20]: PNs
     # 17..20 are new to the range, for each of the two flows
-    before = dn.hash_calls
+    before = dn.hash_calls_downlink
     dn.register(entry.unicast.bidf, HeaderData(DST, SCI.system_id, SCI, 0), 5)
     assert (uni.sa.window.floor, uni.sa.window.top) == (5, window + 4)
-    assert dn.hash_calls - before == 2 * 4
+    assert dn.hash_calls_downlink - before == 2 * 4
     assert sorted(dn.held(uni)) == sorted(dn.held(bc)) == list(range(5, window + 5))
     dn.audit()
     # a reset past the whole range renews every identifier
-    before = dn.hash_calls
+    before = dn.hash_calls_downlink
     dn.register(entry.unicast.bidf, HeaderData(DST, SCI.system_id, SCI, 0), 1000)
-    assert dn.hash_calls - before == 2 * window
+    assert dn.hash_calls_downlink - before == 2 * window
     assert len(dn.ids) == 2 * window
     dn.audit()
 

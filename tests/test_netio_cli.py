@@ -412,6 +412,10 @@ _PEER = {"tunnel": "127.0.0.1:1", "mgmt": "127.0.0.1:2"}
          "scheme: 'ipsec' is not a valid Scheme"),
         (json.dumps({"own_id": "gwX", "peers": {"gwY": _PEER}, "pair_secrets": {"gwY": "zz"}}),
          "pair_secrets: non-hexadecimal"),
+        (json.dumps({"own_id": "gwX", "peers": {"gwY": _PEER}, "pair_secrets": {"gwY": ""}}),
+         "pair_secrets.gwY: shorter than 16 bytes"),
+        (json.dumps({"own_id": "gwX", "peers": {"gwY": _PEER}, "pair_secrets": {"gwy": "00" * 32}}),
+         "pair_secrets.gwy: not a peer"),
         (json.dumps({"own_id": "gwX", "peers": {"gwX": _PEER, "gwY": _PEER}}),
          "peers: own id listed as peer"),
         (None, "--config: [Errno 2]"),
@@ -427,7 +431,8 @@ _PEER = {"tunnel": "127.0.0.1:1", "mgmt": "127.0.0.1:2"}
     ids=[
         "no-own-id", "own-id-not-a-string", "empty-own-id", "no-peers", "empty-peers",
         "peer-no-mgmt", "peer-no-tunnel", "bad-port",
-        "unknown-scheme", "non-hex-secret", "own-id-as-peer", "unreadable", "not-json",
+        "unknown-scheme", "non-hex-secret", "empty-secret", "secret-for-no-peer",
+        "own-id-as-peer", "unreadable", "not-json",
         "not-an-object", "bad-tun-listen", "bad-mgmt-listen", "bad-lan-if",
     ],
 )
