@@ -92,6 +92,12 @@ def gw_main(argv=None) -> int:
         )
     except ValueError as e:
         parser.error(str(e))  # the message names its field
+    if scheme in (Scheme.ENC, Scheme.FULLENC):
+        for name in peers:
+            if name not in pair_secrets:
+                print(f"msec-gw: warning: pair_secrets.{name}: not set, so {scheme.value} keys "
+                      f"{name} from the public lab fallback, which anyone can compute",
+                      file=sys.stderr)
 
     runner = GatewayRunner(
         config,

@@ -2,9 +2,9 @@
 
 Binds a UDP socket for the tunnel, a TCP listener for the management
 channel, and a UDP socket pair as the tap-style LAN attachment (frames
-in and out as raw datagram payloads).  Receive threads funnel every
-event into one queue consumed by a single engine thread, preserving
-the engine's single-writer contract.
+in and out as raw datagram payloads).  One thread waits on every socket
+with a selector and calls the engine for each input in turn, so the
+engine has a single writer and no queue or lock stands between them.
 
 The management channel is carried over plain TCP here; deploy it over
 a VPN, it is modeled as a pre-authenticated link.  Messages leave only
@@ -12,26 +12,23 @@ on connections dialed to each peer's configured ``mgmt`` address.  A
 dialed connection only sends, so one that has become readable was
 closed by the peer: it is closed and the peer redialed before the next
 message, which would otherwise be reported sent and lost.  An accepted
-connection names its peer in a handshake that its own receive thread
-reads, with a 1 s timeout, so a silent connection delays no other.
+connection names its peer in a handshake that is buffered as it
+arrives; one that has not named itself within 1 s is closed, and a
+silent connection delays no other.
 """
 
 from __future__ import annotations
 
-import contextlib
-import logging
-import queue
 import select
+import selectors
 import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .gateway import GatewayConfig, GatewayEngine
 from .mgmt import MgmtError, StreamDecoder
-
-log = logging.getLogger(__name__)
 
 _BUF = 65600
 
@@ -43,16 +40,6 @@ def _now_us() -> int:
 def parse_hostport(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     return host or "127.0.0.1", int(port)
-
-
-def _recv_exact(conn: socket.socket, n: int) -> bytes:
-    data = b""
-    while len(data) < n:
-        chunk = conn.recv(n - len(data))
-        if not chunk:
-            raise ConnectionError("closed during the handshake")
-        data += chunk
-    return data
 
 
 def _readable(conn: socket.socket) -> bool:
@@ -74,8 +61,18 @@ class PeerEndpoints:
     mgmt: tuple[str, int]
 
 
+@dataclass(eq=False)
+class _Accepted:
+    """What the loop knows of one accepted management connection."""
+
+    deadline: float  # monotonic time by which it must have named its peer
+    head: bytes = b""  # the name handshake so far, until it is complete
+    peer: str | None = None
+    decoder: StreamDecoder = field(default_factory=StreamDecoder)
+
+
 class GatewayRunner:
-    """Owns the sockets and the engine thread for one gateway."""
+    """Owns the sockets and the one thread that serves them for a gateway."""
 
     def __init__(
         self,
@@ -90,11 +87,12 @@ class GatewayRunner:
     ):
         self.config = config
         self.peer_endpoints = peer_endpoints
-        self._events: queue.Queue = queue.Queue()
         self._stop = threading.Event()
+        self._thread: threading.Thread | None = None
         self.stats_interval_s = stats_interval_s
         self.stats_sink = stats_sink
 
+        # UDP reads take MSG_DONTWAIT; a send waits for buffer space rather than raise
         self._tun_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._tun_sock.bind(tun_listen)
         self._lan_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -104,13 +102,20 @@ class GatewayRunner:
         self._mgmt_listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._mgmt_listener.bind(mgmt_listen)
         self._mgmt_listener.listen(8)
+        self._mgmt_listener.setblocking(False)
 
         self._addr_to_peer = {
             ep.tunnel: peer for peer, ep in peer_endpoints.items()
         }
         self._mgmt_conns: dict[str, socket.socket] = {}
-        self._accepted: set[socket.socket] = set()
-        self._mgmt_lock = threading.Lock()
+        self._accepted: dict[socket.socket, _Accepted] = {}
+        # each key's data is (rank, handler): in one wake-up the listener and
+        # the connections go first, then LAN, then tunnel, so an announcement
+        # sent before its flow's first datagram is taken before it
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._mgmt_listener, selectors.EVENT_READ, (0, self._accept))
+        self._selector.register(self._lan_sock, selectors.EVENT_READ, (2, self._read_lan))
+        self._selector.register(self._tun_sock, selectors.EVENT_READ, (3, self._read_tun))
 
         self.engine = GatewayEngine(
             config,
@@ -119,7 +124,7 @@ class GatewayRunner:
             emit_lan=self._emit_lan,
         )
 
-    # -- transport callbacks (engine thread) --------------------------------
+    # -- transport callbacks -------------------------------------------------
 
     def _send_tunnel(self, peer: str, datagram: bytes) -> None:
         ep = self.peer_endpoints.get(peer)
@@ -147,8 +152,7 @@ class GatewayRunner:
             return False
 
     def _drop_mgmt(self, peer: str, conn: socket.socket) -> None:
-        with self._mgmt_lock:
-            self._mgmt_conns.pop(peer, None)
+        self._mgmt_conns.pop(peer, None)
         conn.close()
 
     def _emit_lan(self, frame: bytes) -> None:
@@ -163,81 +167,82 @@ class GatewayRunner:
             conn = socket.create_connection(ep.mgmt, timeout=1.0)
         except OSError:
             return None
-        with self._mgmt_lock:
-            self._mgmt_conns[peer] = conn
+        self._mgmt_conns[peer] = conn
         return conn
 
-    # -- receive threads -----------------------------------------------------
+    # -- the loop and its inputs: a read error ends only that input -----------
 
-    def _tun_rx(self) -> None:
-        while not self._stop.is_set():
-            try:
-                data, addr = self._tun_sock.recvfrom(_BUF)
-            except OSError:
-                return
-            peer = self._addr_to_peer.get(addr, f"{addr[0]}:{addr[1]}")
-            self._events.put(("tun", data, peer))
-
-    def _lan_rx(self) -> None:
-        while not self._stop.is_set():
-            try:
-                data, _ = self._lan_sock.recvfrom(_BUF)
-            except OSError:
-                return
-            self._events.put(("lan", data, ""))
-
-    def _mgmt_accept(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._mgmt_listener.accept()
-            except OSError:
-                return
-            with self._mgmt_lock:
-                self._accepted.add(conn)
-            threading.Thread(target=self._mgmt_rx, args=(conn,), daemon=True).start()
-
-    def _mgmt_rx(self, conn: socket.socket) -> None:
-        decoder = StreamDecoder()
+    def _read_tun(self, sock: socket.socket) -> None:
         try:
-            # the name handshake is read here, not in ``_mgmt_accept``, so
-            # a silent connection holds only its own thread, for at most 1 s
-            conn.settimeout(1.0)
-            (length,) = struct.unpack(">H", _recv_exact(conn, 2))
-            peer = _recv_exact(conn, length).decode()
-            conn.settimeout(None)
-            while not self._stop.is_set():
-                data = conn.recv(_BUF)
-                if not data:
+            data, addr = sock.recvfrom(_BUF, socket.MSG_DONTWAIT)
+        except OSError:
+            return
+        peer = self._addr_to_peer.get(addr, f"{addr[0]}:{addr[1]}")
+        self.engine.on_tunnel_datagram(data, peer, _now_us())
+
+    def _read_lan(self, sock: socket.socket) -> None:
+        try:
+            data = sock.recv(_BUF, socket.MSG_DONTWAIT)
+        except OSError:
+            return
+        self.engine.on_lan_frame(data, _now_us())
+
+    def _accept(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return
+            conn.setblocking(False)
+            self._accepted[conn] = _Accepted(time.monotonic() + 1.0)
+            self._selector.register(conn, selectors.EVENT_READ, (1, self._read_mgmt))
+            # bytes the peer sent before it is accepted precede any later input
+            self._read_mgmt(conn)
+
+    def _read_mgmt(self, conn: socket.socket) -> None:
+        rec = self._accepted[conn]
+        try:
+            data = conn.recv(_BUF)
+            if not data:
+                raise ConnectionError("closed by the peer")
+            if rec.peer is None:
+                rec.head += data
+                # a 2-byte length, then the name; one byte in puts ``end`` past it
+                end = 2 + int.from_bytes(rec.head[:2], "big")
+                if len(rec.head) < end:
                     return
-                for msg in decoder.feed(data):
-                    self._events.put(("mgmt", msg, peer))
+                rec.peer = rec.head[2:end].decode()
+                data, rec.head = rec.head[end:], b""
+            msgs = rec.decoder.feed(data)
+        except BlockingIOError:
+            pass  # nothing sent yet
         except (OSError, UnicodeDecodeError, MgmtError):
-            pass  # closed, a bad name, or a bad header the stream cannot be re-framed after
-        finally:
-            with self._mgmt_lock:
-                self._accepted.discard(conn)
-            conn.close()
+            # closed, a bad name, or a bad header the stream cannot be re-framed after
+            self._close_accepted(conn)
+        else:
+            for msg in msgs:
+                self.engine.on_mgmt_bytes(msg, rec.peer, _now_us())
 
-    # -- engine thread ---------------------------------------------------------
+    def _close_accepted(self, conn: socket.socket) -> None:
+        self._selector.unregister(conn)
+        del self._accepted[conn]
+        conn.close()
 
-    def _engine_loop(self) -> None:
+    def _loop(self) -> None:
         next_timer = _now_us() + 1_000_000
         next_stats = (
             time.monotonic() + self.stats_interval_s if self.stats_interval_s else None
         )
         first_stats = True
         while not self._stop.is_set():
-            try:
-                kind, data, peer = self._events.get(timeout=0.1)
-            except queue.Empty:
-                kind = None
+            ready = self._selector.select(0.1)
+            for key, _ in sorted(ready, key=lambda item: item[0].data[0]):
+                key.data[1](key.fileobj)
+            clock = time.monotonic()
+            for conn, rec in list(self._accepted.items()):
+                if rec.peer is None and clock >= rec.deadline:
+                    self._close_accepted(conn)
             now = _now_us()
-            if kind == "lan":
-                self.engine.on_lan_frame(data, now)
-            elif kind == "tun":
-                self.engine.on_tunnel_datagram(data, peer, now)
-            elif kind == "mgmt":
-                self.engine.on_mgmt_bytes(data, peer, now)
             if now >= next_timer:
                 self.engine.on_timer(now)
                 next_timer = now + 1_000_000
@@ -252,22 +257,17 @@ class GatewayRunner:
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> None:
-        for target in (self._tun_rx, self._lan_rx, self._mgmt_accept, self._engine_loop):
-            threading.Thread(target=target, daemon=True).start()
+        self._thread = threading.Thread(target=self._loop, daemon=True)
+        self._thread.start()
 
     def stop(self) -> None:
         self._stop.set()
-        for sock in (self._tun_sock, self._lan_sock, self._mgmt_listener):
-            try:
-                sock.close()
-            except OSError:
-                pass
-        with self._mgmt_lock:
-            for conn in [*self._mgmt_conns.values(), *self._accepted]:
-                # a shutdown, unlike a close, wakes a thread blocked in recv
-                with contextlib.suppress(OSError):
-                    conn.shutdown(socket.SHUT_RDWR)
-                conn.close()
+        if self._thread is not None:
+            self._thread.join()
+        self._selector.close()
+        for sock in (self._tun_sock, self._lan_sock, self._mgmt_listener,
+                     *self._mgmt_conns.values(), *self._accepted):
+            sock.close()
 
     @property
     def addresses(self) -> dict:

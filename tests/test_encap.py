@@ -51,6 +51,14 @@ def test_unknown_scheme():
         decap(bytes(good))
 
 
+@pytest.mark.parametrize("index", range(3, 8))
+def test_nonzero_reserved_byte(index):
+    bad = bytearray(wrap(b"body", EncapScheme.IDF))
+    bad[index] = 0x01
+    with pytest.raises(encap.BadReserved):
+        decap(bytes(bad))
+
+
 def test_header_is_constant_8_bytes():
     for n in (0, 1, 50, 1000):
         assert len(wrap(b"z" * n, EncapScheme.FULLENC)) == n + 8

@@ -107,6 +107,15 @@ def test_decap_garbage_rejected():
     assert pair.b.snapshot_stats().drops["decap_error"] == 2
 
 
+def test_nonzero_reserved_bytes_are_a_decap_error():
+    pair = EnginePair(Scheme.IDF)
+    pair.transit = lambda dg: dg[:7] + b"\x01" + dg[8:]
+    pair.lan_a(protect(MAC_B, MAC_A, SCI_A, 1))
+    assert pair.b.snapshot_stats().drops["decap_error"] == 1
+    assert pair.b.snapshot_stats().dropped() == 1
+    assert pair.emitted["B"] == []
+
+
 def test_too_large_frame_dropped():
     pair = EnginePair(Scheme.NAIVE)
     raw = protect(MAC_B, MAC_A, SCI_A, 1, payload=bytes(1480))

@@ -9,6 +9,7 @@ import socket
 import struct
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -118,7 +119,7 @@ def test_silent_mgmt_connection_does_not_block_peers():
 
 def test_silent_handshakes_do_not_delay_accepts():
     """Three connections that never name themselves hold up no later
-    peer: each handshake is read by its own connection's thread."""
+    peer: each handshake is buffered as it arrives, not waited for."""
     runners, ports = _runner_pair(Scheme.NAIVE)
     gw_b = runners["B"]
     gw_b.start()
@@ -138,6 +139,101 @@ def test_silent_handshakes_do_not_delay_accepts():
             sock.close()
         for r in runners.values():
             r.stop()
+
+
+def test_handshake_one_byte_at_a_time_names_its_peer():
+    runners, ports = _runner_pair(Scheme.NAIVE)
+    gw_b = runners["B"]
+    gw_b.start()
+    try:
+        with socket.create_connection(("127.0.0.1", ports["B"]["mgmt"])) as peer:
+            peer.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for byte in struct.pack(">H", 3) + b"gwA":
+                peer.sendall(bytes([byte]))
+                time.sleep(0.02)
+            peer.sendall(encode_message(MgmtMessage.hello()))
+            _wait_for(lambda: gw_b.engine.peers["gwA"].last_hello is not None, 5)
+        assert gw_b.engine.peers["gwA"].last_hello is not None
+    finally:
+        for r in runners.values():
+            r.stop()
+
+
+def test_connection_that_never_names_itself_is_closed():
+    runners, ports = _runner_pair(Scheme.NAIVE)
+    runners["B"].start()
+    try:
+        with socket.create_connection(("127.0.0.1", ports["B"]["mgmt"])) as silent:
+            silent.settimeout(3)
+            assert silent.recv(1) == b""
+    finally:
+        for r in runners.values():
+            r.stop()
+
+
+def test_stop_ends_what_start_began():
+    """Once traffic has flowed, ``stop`` returns with every thread the
+    runners started ended and every socket they hold closed."""
+    before = set(threading.enumerate())
+    runners, ports = _runner_pair(Scheme.IDF)
+    for r in runners.values():
+        r.start()
+    dev_b = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    dev_b.bind(("127.0.0.1", ports["B"]["dev"]))
+    dev_b.settimeout(0.2)
+    dev_a = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        for pn in range(1, 26):
+            dev_a.sendto(protect(MAC_B, MAC_A, SCI_A, pn), ("127.0.0.1", ports["A"]["lan"]))
+            try:
+                dev_b.recv(65536)
+                break
+            except socket.timeout:
+                pass
+        else:
+            pytest.fail("no frame crossed the pair")
+        started = set(threading.enumerate()) - before
+    finally:
+        for r in runners.values():
+            r.stop()
+        dev_a.close()
+        dev_b.close()
+    assert [t.name for t in started if t.is_alive()] == []
+    for r in runners.values():
+        socks = [r._tun_sock, r._lan_sock, r._mgmt_listener, *r._mgmt_conns.values(),
+                 *r._accepted]
+        assert [s for s in socks if s.fileno() != -1] == []
+
+
+def test_announcement_queued_before_its_first_datagram_is_taken_first():
+    """B starts with gwA's handshake and FLOW_ANNOUNCE waiting on its
+    management port and the flow's first datagram on its tunnel socket:
+    it takes the announcement first, so the frame is delivered."""
+    failed = []
+    for run in range(20):
+        runners, ports = _runner_pair(Scheme.IDF)
+        dev_b = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        dev_b.bind(("127.0.0.1", ports["B"]["dev"]))
+        dev_b.settimeout(2)
+        raw = protect(MAC_B, MAC_A, SCI_A, 1)
+        try:
+            # A, not started, dials B's listener and sends its handshake and
+            # announcement, then the datagram from its configured address
+            runners["A"].engine.on_lan_frame(raw, time.monotonic_ns() // 1000)
+            assert runners["A"].engine.snapshot_stats().datagrams_sent == 1
+            runners["B"].start()
+            try:
+                got = dev_b.recv(65536)
+            except socket.timeout:
+                got = None
+            drops = runners["B"].engine.snapshot_stats().drops["unknown_identifier"]
+            if got != raw or drops:
+                failed.append(run)
+        finally:
+            for r in runners.values():
+                r.stop()
+            dev_b.close()
+    assert not failed, f"runs {failed} of 20 lost the flow's first frame"
 
 
 def test_mgmt_messages_leave_only_on_dialed_connections():
@@ -390,6 +486,33 @@ def test_gw_cli_window(tmp_path, monkeypatch, capsys, json_window, flag, expect)
 
 
 _PEER = {"tunnel": "127.0.0.1:1", "mgmt": "127.0.0.1:2"}
+
+
+@pytest.mark.parametrize(
+    "scheme,secrets,warned",
+    [
+        ("enc", {}, ["gwY", "gwZ"]),
+        ("fullenc", {"gwY": "11" * 32}, ["gwZ"]),
+        ("enc", {"gwY": "11" * 32, "gwZ": "22" * 32}, []),
+        ("idf", {}, []),
+        ("naive", {}, []),
+    ],
+)
+def test_gw_cli_warns_of_peers_keyed_from_the_lab_secret(tmp_path, monkeypatch, capsys, scheme,
+                                                         secrets, warned):
+    from msectun import cli
+
+    cfg = {"own_id": "gwX", "scheme": scheme, "peers": {"gwY": _PEER, "gwZ": _PEER},
+           "pair_secrets": secrets}
+    path = tmp_path / "gw.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(cli, "GatewayRunner", _StubRunner)
+    monkeypatch.setattr(cli.time, "sleep", _interrupt)
+    assert cli.gw_main(["--config", str(path)]) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+    assert len(lines) == len(warned)
+    for name, line in zip(warned, lines):
+        assert f"pair_secrets.{name}" in line and "public lab" in line
 
 
 @pytest.mark.parametrize(
