@@ -26,7 +26,7 @@ import tracemalloc
 from dataclasses import dataclass
 from typing import Optional
 
-from .flow import DEFAULT_WINDOW, HeaderData, new_bidf
+from .flow import DEFAULT_WINDOW, new_bidf
 from .frame import Sci
 from .gateway import Scheme
 from .idf import IdfDownlink
@@ -219,7 +219,8 @@ def _build_table(flows: int, window: int) -> tuple[IdfDownlink, float]:
     spent = 0.0
     for i in range(flows):
         src = (0x020000000000 + i).to_bytes(6, "big")
-        header = HeaderData(_DST, src, Sci(src, 1), 0)
+        # dst|src|sci|an: station ``src`` sends on port 1 under AN 0
+        header = _DST + src + src + b"\x00\x01\x00"
         bidf = new_bidf(rng)
         t0 = time.perf_counter()
         table.register(bidf, header, _TABLE_START_PN)

@@ -28,7 +28,7 @@ from . import mgmt
 from .aes import Aes128
 from .encap import EncapScheme
 from .frame import ETHERTYPE_MACSEC, ICV_LEN, is_broadcast
-from .flow import DecodeResult, DownlinkFlows, Sci, WindowStatus
+from .flow import DownlinkFlows, WindowStatus
 
 HEADER_BYTES = 32  # two cipher blocks
 MIN_FRAME = HEADER_BYTES + ICV_LEN  # needs 4+ bytes of secure data
@@ -164,28 +164,29 @@ class EncTunnel(DownlinkFlows):
 
     # -- downlink ------------------------------------------------------------
 
-    def decode(self, body: bytes, keys: PairKeys, now: int) -> DecodeResult:
+    def decode(self, body: bytes, keys: PairKeys, now: int) -> bytes | str:
         if len(body) < MIN_BODY:
-            return DecodeResult(reason=REASON_MALFORMED)
+            return REASON_MALFORMED
         key = keys.for_epoch(body[0], now)
         if key is None:
-            return DecodeResult(reason=REASON_BAD_EPOCH)
+            return REASON_BAD_EPOCH
         p1, p2 = header_decrypt(body[1:17], body[17:33], key.cipher)
         self.block_ops_downlink += 2
 
         ethertype = struct.unpack_from(">H", p1, 12)[0]
         if ethertype != ETHERTYPE_MACSEC:
-            return DecodeResult(reason=REASON_HEADER_MISMATCH)
-        an = p1[14] & 0x03
+            return REASON_HEADER_MISMATCH
         pn = struct.unpack_from(">I", p2)[0]
         dst = p1[0:6]
-        sa = self._sas.get(self._sa_key(Sci.unpack(p2[4:12]), an, dst))
+        # the SA key is the announced header's sci|an: the SCI bytes
+        # follow the PN, the AN sits in the low bits of the TCI byte
+        sa = self._sas.get(p2[4:12] + bytes((p1[14] & 0x03,)))
         entry = None if sa is None else sa.broadcast if is_broadcast(dst) else sa.unicast
-        if entry is None or entry.header.dst != dst:
-            return DecodeResult(reason=REASON_UNKNOWN_FLOW)
-        if entry.header.src != p1[6:12]:
-            return DecodeResult(reason=REASON_HEADER_MISMATCH)
+        if entry is None or entry.header[:6] != dst:
+            return REASON_UNKNOWN_FLOW
+        if entry.header[6:12] != p1[6:12]:
+            return REASON_HEADER_MISMATCH
         status = sa.window.accept(pn)
         if status is not WindowStatus.ACCEPT:
-            return DecodeResult(reason=status.value)
-        return DecodeResult(frame=p1 + p2 + body[33:])
+            return status.value
+        return p1 + p2 + body[33:]

@@ -10,6 +10,15 @@ downlink flow table also keys by base identifier; the identifier table
 is keyed by rotating identifier.  ``DownlinkFlows`` is also the naive
 scheme; each other scheme is a subclass of it.
 
+Past the parse, flow state is wire bytes.  The uplink keys an SA by
+its frames' 8 SCI bytes and its AN.  A flow's announced header is the
+21 bytes a FLOW_ANNOUNCE carries::
+
+    dst(6) src(6) sci(8) an(1)
+
+whose last 9 bytes key its downlink SA and whose first 12 its entry in
+the address index.
+
 Flow learning looks entries up by three more keys, each kept as an
 index by the table that owns the data, so that control-plane work does
 not grow with the number of flows:
@@ -29,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .encap import EncapScheme
-from .frame import MIN_FRAME_LEN, Sci, is_broadcast
+from .frame import MIN_FRAME_LEN, is_broadcast
 
 if TYPE_CHECKING:
     from .mgmt import MgmtMessage
@@ -141,43 +150,26 @@ class UplinkCast:
 
 @dataclass(slots=True)
 class UplinkFlowEntry:
-    """Per-SA uplink state, keyed by (SCI, AN) in the uplink table."""
+    """Per-SA uplink state, keyed by (SCI, AN) in the uplink table;
+    ``sci`` is the SA's 8 wire bytes."""
 
-    sci: Sci
+    sci: bytes
     an: int
     unicast: UplinkCast
     broadcast: UplinkCast
     timeout: int
 
 
-@dataclass(slots=True)
-class HeaderData:
-    """Everything needed to rebuild the sensitive fields of a flow."""
-
-    dst: bytes
-    src: bytes
-    sci: Sci
-    an: int
-
-    def pack(self) -> bytes:
-        return self.dst + self.src + self.sci.pack() + bytes([self.an])
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "HeaderData":
-        return cls(
-            dst=bytes(data[0:6]),
-            src=bytes(data[6:12]),
-            sci=Sci.unpack(data[12:20]),
-            an=data[20],
-        )
-
-
 @dataclass(slots=True, eq=False)
 class DownlinkFlowEntry:
-    """One announced flow: a cast of a downlink SA, named by its bidf."""
+    """One announced flow: a cast of a downlink SA, named by its bidf.
+
+    ``header`` is the announced dst|src|sci|an, everything needed to
+    rebuild the sensitive fields of the flow's frames.
+    """
 
     bidf: bytes
-    header: HeaderData
+    header: bytes
     sa: DownlinkSa
     origin: str = ""
     # a learned notice for this flow went back to its origin
@@ -203,18 +195,6 @@ class DownlinkSa:
     broadcast: Optional[DownlinkFlowEntry] = None
 
 
-@dataclass
-class DecodeResult:
-    """Outcome of a downlink scheme decode: a frame or a drop reason."""
-
-    frame: Optional[bytes] = None
-    reason: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.frame is not None
-
-
 class DownlinkFlows:
     """Downlink flow table: the flows peers announced, one record per SA.
 
@@ -231,8 +211,9 @@ class DownlinkFlows:
       send for one LAN frame, its wire bytes and PN, of the flow
       ``cast`` (a ``UplinkCast``), or None if the frame is too short
       for the scheme
-    - ``decode(body, recv, now)``: a ``DecodeResult``, the frame or a
-      drop reason, for a body from the peer whose ``recv`` is given
+    - ``decode(body, recv, now)``: the rebuilt frame's bytes, or the
+      drop reason as a ``str``, for a body from the peer whose ``recv``
+      is given
     - ``needs_announce``: whether ``decode`` needs the flow's
       announcement, so a peer still owed it is sent none of its datagrams
     - ``on_new_sa(peers, now)``: the (peer, management message) pairs a
@@ -278,9 +259,9 @@ class DownlinkFlows:
         # ``rand_bytes(n)``: n random bytes, for a scheme's keys and nonces
         self._rand_bytes = rand_bytes
         self.flows: dict[bytes, DownlinkFlowEntry] = {}
-        self._sas: dict[tuple, DownlinkSa] = {}
-        # (header dst, header src) -> flows, in ``flows`` order
-        self._by_addr: dict[tuple[bytes, bytes], list[DownlinkFlowEntry]] = {}
+        self._sas: dict[bytes, DownlinkSa] = {}
+        # header dst|src -> flows, in ``flows`` order
+        self._by_addr: dict[bytes, list[DownlinkFlowEntry]] = {}
 
     # -- codec -------------------------------------------------------------
 
@@ -290,10 +271,10 @@ class DownlinkFlows:
     def encode(self, raw: bytes, pn: int, cast: UplinkCast, targets):
         return ((raw, targets),)
 
-    def decode(self, body: bytes, recv=None, now: int = 0) -> DecodeResult:
+    def decode(self, body: bytes, recv=None, now: int = 0) -> bytes | str:
         if len(body) < MIN_FRAME_LEN:
-            return DecodeResult(reason="malformed")
-        return DecodeResult(frame=body)
+            return "malformed"
+        return body
 
     def on_new_sa(self, peers, now: int):
         return ()
@@ -311,16 +292,14 @@ class DownlinkFlows:
 
     # -- announcements -----------------------------------------------------
 
-    def _sa_key(self, sci: Sci, an: int, dst: bytes) -> tuple:
-        """The key of the SA record that a flow to ``dst`` belongs to."""
-        return sci, an
+    def _sa_key(self, header: bytes):
+        """The key of the SA record that the flow of ``header`` belongs to."""
+        return header[12:]
 
-    def register(
-        self, bidf: bytes, header: HeaderData, pn: int, origin: str = ""
-    ) -> DownlinkFlowEntry:
+    def register(self, bidf: bytes, header: bytes, pn: int, origin: str = "") -> DownlinkFlowEntry:
         """Apply an announcement to its SA; returns the flow it names."""
-        slot, other = ("broadcast", "unicast") if is_broadcast(header.dst) else ("unicast", "broadcast")
-        key = self._sa_key(header.sci, header.an, header.dst)
+        slot, other = ("broadcast", "unicast") if is_broadcast(header[:6]) else ("unicast", "broadcast")
+        key = self._sa_key(header)
         sa = self._sas.get(key)
         held = None if sa is None else getattr(sa, slot)
         clash = self.flows.get(bidf)
@@ -336,7 +315,7 @@ class DownlinkFlows:
                 sa = self._sas[key] = DownlinkSa(ReplayWindow(pn, self.window_size))
             entry = DownlinkFlowEntry(bidf, header, sa, origin)
             self.flows[bidf] = entry
-            self._by_addr.setdefault((header.dst, header.src), []).append(entry)
+            self._by_addr.setdefault(header[:12], []).append(entry)
             setattr(sa, slot, entry)
             if held is not None:
                 self._unlink(held)
@@ -375,14 +354,13 @@ class DownlinkFlows:
         else:
             sa.broadcast = None
         if sa.unicast is None and sa.broadcast is None:
-            hdr = entry.header
-            del self._sas[self._sa_key(hdr.sci, hdr.an, hdr.dst)]
+            del self._sas[self._sa_key(entry.header)]
 
     def _unlink(self, entry: DownlinkFlowEntry) -> None:
         """Take a flow out of ``flows`` and the address index."""
         del self.flows[entry.bidf]
         self._forget(entry)
-        addr = (entry.header.dst, entry.header.src)
+        addr = entry.header[:12]
         same_addr = self._by_addr[addr]
         same_addr.remove(entry)
         if not same_addr:
@@ -390,7 +368,7 @@ class DownlinkFlows:
 
     def addressed(self, dst: bytes, src: bytes) -> list[DownlinkFlowEntry]:
         """The flows whose header carries ``dst`` and ``src``, in ``flows`` order."""
-        return list(self._by_addr.get((dst, src), ()))
+        return list(self._by_addr.get(dst + src, ()))
 
 
 class UplinkTable:
@@ -407,11 +385,11 @@ class UplinkTable:
     """
 
     def __init__(self):
-        self._entries: dict[tuple[Sci, int], UplinkFlowEntry] = {}
+        self._entries: dict[tuple[bytes, int], UplinkFlowEntry] = {}
         self._by_bidf: dict[bytes, UplinkFlowEntry] = {}
         self._dst_count: dict[tuple[bytes, bytes], int] = {}
 
-    def get(self, sci: Sci, an: int) -> Optional[UplinkFlowEntry]:
+    def get(self, sci: bytes, an: int) -> Optional[UplinkFlowEntry]:
         return self._entries.get((sci, an))
 
     def by_unicast_bidf(self, bidf: bytes) -> Optional[UplinkFlowEntry]:
@@ -445,7 +423,7 @@ class UplinkTable:
     def _index(self, entry: UplinkFlowEntry) -> None:
         self._by_bidf[entry.unicast.bidf] = entry
         if entry.unicast.dst is not None:
-            key = (entry.sci.system_id, entry.unicast.dst)
+            key = (entry.sci[:6], entry.unicast.dst)
             self._dst_count[key] = self._dst_count.get(key, 0) + 1
 
     def _unindex(self, entry: UplinkFlowEntry) -> None:
@@ -453,7 +431,7 @@ class UplinkTable:
         if self._by_bidf.get(bidf) is entry:
             del self._by_bidf[bidf]
         if entry.unicast.dst is not None:
-            key = (entry.sci.system_id, entry.unicast.dst)
+            key = (entry.sci[:6], entry.unicast.dst)
             n = self._dst_count[key] - 1
             if n:
                 self._dst_count[key] = n

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .aes import Aes128
 from .encap import EncapScheme
-from .flow import DecodeResult, DownlinkFlows
+from .flow import DownlinkFlows
 
 NONCE_LEN = 13  # 15 - L with L = 2
 PREFIX_LEN = 5  # the nonce's per-sender part; an 8-byte counter follows
@@ -107,8 +107,9 @@ class FullEncTunnel(DownlinkFlows):
     """Whole-frame AEAD encode/decode with per-direction keys.
 
     Each peer's ``send`` is a ``FullEncSender`` and its ``recv`` the
-    ``Aes128`` of the key that peer sends under.  No flow is announced,
-    so the core flow table stays empty.
+    ``Aes128`` of the key that peer sends under.  Flows are announced
+    and registered in the core flow table as under every scheme, but
+    decode reads none of them, so ``needs_announce`` stays False.
     """
 
     tag = EncapScheme.FULLENC
@@ -127,11 +128,11 @@ class FullEncTunnel(DownlinkFlows):
             bodies.append((nonce + sealed, (peer,)))
         return bodies
 
-    def decode(self, body: bytes, recv: Aes128, now: int) -> DecodeResult:
+    def decode(self, body: bytes, recv: Aes128, now: int) -> bytes | str:
         if len(body) < NONCE_LEN + TAG_LEN:
-            return DecodeResult(reason=REASON_MALFORMED)
+            return REASON_MALFORMED
         plaintext, ops = ccm_decrypt(recv, body[:NONCE_LEN], body[NONCE_LEN:])
         self.block_ops_downlink += ops
         if plaintext is None:
-            return DecodeResult(reason=REASON_AUTH_FAIL)
-        return DecodeResult(frame=plaintext)
+            return REASON_AUTH_FAIL
+        return plaintext

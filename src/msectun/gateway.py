@@ -26,7 +26,6 @@ from .flow import (
     DEFAULT_FLOW_TIMEOUT_US,
     DEFAULT_WINDOW,
     DownlinkFlows,
-    HeaderData,
     UplinkCast,
     UplinkFlowEntry,
     UplinkTable,
@@ -94,6 +93,8 @@ class GatewayConfig:
             raise ValueError("peers: a gateway needs at least one peer")
         if self.own_id in self.peers:
             raise ValueError("peers: own id listed as peer")
+        if isinstance(self.window, bool) or not isinstance(self.window, int):
+            raise ValueError("window: window size must be an integer")
         if self.window < 1:
             raise ValueError("window: window size must be >= 1")
         for name, secret in self.pair_secrets.items():
@@ -233,7 +234,8 @@ class GatewayEngine:
         # peers are fixed: the per-frame path reads these, not the dict
         self._all_peers = tuple(self.peers.values())
         self._boxes = tuple(p.outbox for p in self._all_peers)
-        # the identifier scheme's tables, for callers that inspect them
+        # the identifier scheme's tables, for the benchmark's table
+        # sampling (perfbench/workloads.py); everything else reads ``codec``
         self.idf_downlink = self.codec if config.scheme is Scheme.IDF else None
 
     # -- helpers ---------------------------------------------------------
@@ -297,7 +299,7 @@ class GatewayEngine:
             self._drop("zero_pn")
             return
 
-        sci, an = frame.sectag.sci, tci.an
+        sci, an = data[20:28], tci.an
         entry = self.uplink.get(sci, an)
         if entry is None:
             entry = UplinkFlowEntry(
@@ -336,7 +338,8 @@ class GatewayEngine:
         key = (mgmt.MgmtKind.FLOW_ANNOUNCE, cast.bidf)
         msg = cast.announce
         if msg is None:
-            header = HeaderData(dst=frame.dst, src=frame.src, sci=sci, an=an)
+            # the header it announces is the frame's dst|src|sci and its AN
+            header = data[:12] + sci + bytes((an,))
             msg = cast.announce = mgmt.MgmtMessage.announce(cast.bidf, header, pn)
             owed = self._all_peers
         else:
@@ -437,13 +440,13 @@ class GatewayEngine:
         if scheme_tag is not self.codec.tag:
             self._drop("scheme_mismatch")
             return
-        res = self.codec.decode(body, peer.recv, now)
-        if not res.ok:
-            self._drop(res.reason)
+        frame = self.codec.decode(body, peer.recv, now)
+        if isinstance(frame, str):
+            self._drop(frame)  # a drop reason
             return
         self.stats.frames_reconstructed += 1
-        self.stats.bytes_lan_out += len(res.frame)
-        self.emit_lan(res.frame)
+        self.stats.bytes_lan_out += len(frame)
+        self.emit_lan(frame)
 
     # -- management ------------------------------------------------------------
 
@@ -473,6 +476,10 @@ class GatewayEngine:
         elif kind is mgmt.MgmtKind.REKEY:
             self.codec.on_rekey(msg, peer, now)
         elif kind is mgmt.MgmtKind.MKA_FORWARD:
+            # only what the uplink diverts: a key-agreement frame
+            if fr.ethertype_of(msg.frame) != fr.ETHERTYPE_EAPOL:
+                self._drop("mgmt_malformed")
+                return
             self.stats.bytes_lan_out += len(msg.frame)
             self.emit_lan(msg.frame)
         elif kind is mgmt.MgmtKind.HELLO:
@@ -481,7 +488,7 @@ class GatewayEngine:
     def _handle_announce(self, msg: mgmt.MgmtMessage, peer: Peer) -> None:
         flow = self.codec.register(msg.bidf, msg.header, msg.pn, peer.name)
         # announce may arrive after we already carry the reverse flow
-        if not flow.learned and self.uplink.has_unicast(msg.header.dst, msg.header.src):
+        if not flow.learned and self.uplink.has_unicast(msg.header[:6], msg.header[6:12]):
             flow.learned = True
             self._mgmt_out(peer, mgmt.MgmtMessage.learned(msg.bidf))
 

@@ -18,7 +18,7 @@ from array import array
 
 from .encap import EncapScheme
 from .frame import ETHERTYPE_MACSEC, ICV_LEN
-from .flow import DecodeResult, DownlinkFlowEntry, DownlinkFlows, WindowStatus
+from .flow import DownlinkFlowEntry, DownlinkFlows, WindowStatus
 from .siphash import siphash24_many, siphash24_words
 
 MIN_BODY = 8 + 2 + 2 + ICV_LEN
@@ -169,18 +169,18 @@ class IdfDownlink(DownlinkFlows):
 
     # -- decode ------------------------------------------------------------
 
-    def decode(self, body: bytes, recv=None, now: int = 0) -> DecodeResult:
+    def decode(self, body: bytes, recv=None, now: int = 0) -> bytes | str:
         """Identifier lookup, window acceptance, frame reconstruction.
 
         A frame below its window finds no held identifier, so it counts as
         ``unknown_identifier`` like a forged one (enc: ``out_of_window``).
         """
         if len(body) < MIN_BODY:
-            return DecodeResult(reason=REASON_MALFORMED)
+            return REASON_MALFORMED
         ridf, tci_flags, sl = struct.unpack_from(">QBB", body)
         flow = self.ids.get(ridf)
         if flow is None:
-            return DecodeResult(reason=REASON_UNKNOWN_IDENTIFIER)
+            return REASON_UNKNOWN_IDENTIFIER
         # the flow holds the identifier in exactly one slot: the
         # slot-aligned copy of its bytes whose PN tag is set
         ring, pns = flow.ring, flow.ring_pns
@@ -190,19 +190,19 @@ class IdfDownlink(DownlinkFlows):
             at = ring.find(needle, at + 1)
         if at < 0:
             # only a table that fails ``audit`` gets here
-            return DecodeResult(reason=REASON_UNKNOWN_IDENTIFIER)
+            return REASON_UNKNOWN_IDENTIFIER
         pn = pns[at >> 3]
         sa = flow.sa
         window = sa.window
         if window.is_seen(pn):
-            return DecodeResult(reason=REASON_REPLAY)
+            return REASON_REPLAY
         if tci_flags & 0x03:
             # AN bits travel in the flow state, never on the wire
-            return DecodeResult(reason=REASON_MALFORMED)
+            return REASON_MALFORMED
         old_floor, old_top = window.floor, window.top
         status = window.accept(pn)
         if status is not WindowStatus.ACCEPT:
-            return DecodeResult(reason=status.value)
+            return status.value
         # both casts of the SA hold identifiers for the one window
         for fl in (sa.unicast, sa.broadcast):
             if fl is None:
@@ -216,15 +216,14 @@ class IdfDownlink(DownlinkFlows):
             for p in range(old_top + 1, window.top + 1):
                 self._insert_id(fl, p, derive_ridf(fl.bidf, p))
 
+        # the announced dst|src|sci|an around the wire's flags and data
         hdr = flow.header
-        frame = (
-            hdr.dst
-            + hdr.src
-            + struct.pack(">HBBI", ETHERTYPE_MACSEC, tci_flags | hdr.an, sl, pn)
-            + hdr.sci.pack()
+        return (
+            hdr[:12]
+            + struct.pack(">HBBI", ETHERTYPE_MACSEC, tci_flags | hdr[20], sl, pn)
+            + hdr[12:20]
             + body[10:]
         )
-        return DecodeResult(frame=frame)
 
     # -- test support --------------------------------------------------------
 

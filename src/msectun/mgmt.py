@@ -6,6 +6,8 @@ pre-secured reliable ordered byte stream (in-process queue in
 simulation, TCP in real mode; deploy the real channel over a VPN).
 
 Wire format, big-endian:  magic(2) version(1) kind(1) length(4) body.
+An announce body is bidf(16) header(21) pn(4) cast(1), where the header
+is the flow's dst(6) src(6) sci(8) an(1), held as those bytes.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ import enum
 import struct
 from dataclasses import dataclass
 
-from .flow import HeaderData
-from .frame import BROADCAST_MAC, is_broadcast
+from .frame import is_broadcast
 
 MAGIC = 0x4D47
 VERSION = 1
@@ -44,14 +45,14 @@ class MgmtError(ValueError):
 class MgmtMessage:
     kind: MgmtKind
     bidf: bytes = b""
-    header: HeaderData | None = None
+    header: bytes = b""
     pn: int = 0
     epoch: int = 0
     key: bytes = b""
     frame: bytes = b""
 
     @classmethod
-    def announce(cls, bidf: bytes, header: HeaderData, pn: int) -> "MgmtMessage":
+    def announce(cls, bidf: bytes, header: bytes, pn: int) -> "MgmtMessage":
         return cls(MgmtKind.FLOW_ANNOUNCE, bidf=bidf, header=header, pn=pn)
 
     @classmethod
@@ -78,8 +79,8 @@ class MgmtMessage:
 def encode_message(msg: MgmtMessage) -> bytes:
     kind = msg.kind
     if kind is MgmtKind.FLOW_ANNOUNCE:
-        cast = CAST_BROADCAST if is_broadcast(msg.header.dst) else CAST_UNICAST
-        body = msg.bidf + msg.header.pack() + struct.pack(">IB", msg.pn, cast)
+        cast = CAST_BROADCAST if is_broadcast(msg.header[:6]) else CAST_UNICAST
+        body = msg.bidf + msg.header + struct.pack(">IB", msg.pn, cast)
     elif kind in (MgmtKind.FLOW_LEARNED, MgmtKind.FLOW_EXPIRE):
         body = msg.bidf
     elif kind is MgmtKind.REKEY:
@@ -120,15 +121,15 @@ def decode_message(data: bytes) -> MgmtMessage:
         if len(body) != 16 + 21 + 5:
             raise MgmtError("bad announce body")
         bidf = bytes(body[:16])
-        header = HeaderData.unpack(body[16:37])
+        header = bytes(body[16:37])
         pn, cast = struct.unpack_from(">IB", body, 37)
         if pn < 1:
             raise MgmtError("announce PN must be >= 1")
-        if header.an > 3:
+        if header[20] > 3:
             raise MgmtError("announce AN out of range")
         if cast not in (CAST_UNICAST, CAST_BROADCAST):
             raise MgmtError("bad cast marker")
-        if (cast == CAST_BROADCAST) != (header.dst == BROADCAST_MAC):
+        if (cast == CAST_BROADCAST) != is_broadcast(header[:6]):
             raise MgmtError("cast marker contradicts destination")
         return MgmtMessage(kind, bidf=bidf, header=header, pn=pn)
     if kind in (MgmtKind.FLOW_LEARNED, MgmtKind.FLOW_EXPIRE):

@@ -1,8 +1,10 @@
-"""Every top-level name of the library, and every method and class
-attribute of its classes, is used somewhere.
+"""Every top-level name of the library, and every method, class
+attribute and ``__init__``-assigned attribute of its classes, is used
+somewhere.
 
 A function, class or constant at module level in ``src/msectun``, or a
-method or class attribute of one of its classes, that no other code,
+method or class attribute of one of its classes, or an attribute that
+its ``__init__`` assigns on ``self``, that no other code,
 test, benchmark file, README or ``pyproject.toml`` names is dead: it can
 only drift from the code around it.  A name counts as used when it
 appears as a word anywhere outside its own definition, so names looked
@@ -29,10 +31,34 @@ OTHERS = [
 ]
 
 
+def _self_attributes(init: ast.FunctionDef):
+    """(name, assignment) for each ``self.name = ...`` in ``init``."""
+    for node in ast.walk(init):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for t in target.elts if isinstance(target, ast.Tuple) else [target]:
+                if (
+                    isinstance(t, ast.Attribute)
+                    and isinstance(t.value, ast.Name)
+                    and t.value.id == "self"
+                ):
+                    yield t.attr, node
+
+
 def _definitions(body: list[ast.stmt], owner: str = ""):
     """(qualified name, name, node) for each function, class or assigned
-    name in ``body``, and, at module level, for each member of a class."""
+    name in ``body``, and, at module level, for each member of a class
+    and each attribute its ``__init__`` assigns on ``self``."""
     for node in body:
+        if owner and isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            for name, assign in _self_attributes(node):
+                if not name.startswith("__"):
+                    yield owner + name, name, assign
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):

@@ -12,7 +12,6 @@ from msectun.enc import (
     header_decrypt,
     header_encrypt,
 )
-from msectun.flow import HeaderData
 from msectun.frame import BROADCAST_MAC, Sci, endpoint_verify, parse_macsec
 from msectun.gateway import Peer
 from msectun.pair import seal
@@ -26,11 +25,16 @@ def _protected(pn, dst=DST, payload=b"\x00" * 40, an=0):
     return seal(KEY, dst, SCI.system_id, SCI, pn, payload, an)
 
 
+def _header(dst=DST, sci=SCI):
+    """The announced dst|src|sci|an of station ``sci`` sending to ``dst`` under AN 0."""
+    return dst + sci.system_id + sci.pack() + b"\x00"
+
+
 def _tunnel(pn=1, window=16, broadcast=False):
     tun = EncTunnel(window_size=window)
-    tun.register(b"\x0a" * 16, HeaderData(DST, SCI.system_id, SCI, 0), pn)
+    tun.register(b"\x0a" * 16, _header(), pn)
     if broadcast:
-        tun.register(b"\x0b" * 16, HeaderData(BROADCAST_MAC, SCI.system_id, SCI, 0), pn)
+        tun.register(b"\x0b" * 16, _header(BROADCAST_MAC), pn)
     return tun
 
 
@@ -138,10 +142,9 @@ def test_roundtrip_bit_exact_and_length():
         raw = _protected(pn, payload=os.urandom(random.randint(4, 90)))
         body = _encode(tun, raw, send)
         assert len(body) == len(raw) + 1
-        res = tun.decode(body, recv, now=0)
-        assert res.ok, res.reason
-        assert res.frame == raw
-        endpoint_verify(parse_macsec(res.frame), KEY)
+        frame = tun.decode(body, recv, now=0)
+        assert frame == raw, frame
+        endpoint_verify(parse_macsec(frame), KEY)
 
 
 def test_ciphertext_fresh_across_pn():
@@ -175,24 +178,24 @@ def test_bit_flip_header_mismatch():
     send, recv = _keys()
     body = bytearray(_encode(tun, _protected(1), send))
     body[3] ^= 0x10  # inside c1
-    assert tun.decode(bytes(body), recv, 0).reason == "header_mismatch"
+    assert tun.decode(bytes(body), recv, 0) == "header_mismatch"
 
 
 def test_replay_and_out_of_window():
     tun = _tunnel(window=4)
     send, recv = _keys()
     body = _encode(tun, _protected(1), send)
-    assert tun.decode(body, recv, 0).ok
-    assert tun.decode(body, recv, 0).reason == "replay"
+    assert isinstance(tun.decode(body, recv, 0), bytes)
+    assert tun.decode(body, recv, 0) == "replay"
     far = _encode(tun, _protected(4000), send)
-    assert tun.decode(far, recv, 0).reason == "out_of_window"
+    assert tun.decode(far, recv, 0) == "out_of_window"
 
 
 def test_unknown_flow_before_announce():
     tun = EncTunnel()
     send, recv = _keys()
     body = _encode(tun, _protected(1), send)
-    assert tun.decode(body, recv, 0).reason == "unknown_flow"
+    assert tun.decode(body, recv, 0) == "unknown_flow"
 
 
 def test_bound_unicast_broadcast_share_window():
@@ -201,8 +204,8 @@ def test_bound_unicast_broadcast_share_window():
     for pn in range(1, 20):
         dst = BROADCAST_MAC if pn % 4 == 0 else DST
         raw = _protected(pn, dst=dst)
-        res = tun.decode(_encode(tun, raw, send), recv, 0)
-        assert res.ok, (pn, res.reason)
+        frame = tun.decode(_encode(tun, raw, send), recv, 0)
+        assert frame == raw, (pn, frame)
 
 
 def test_random_injections_rejected():
@@ -212,7 +215,7 @@ def test_random_injections_rejected():
     accepted = 0
     for _ in range(20_000):
         body = bytes([send.current.epoch]) + rng.randbytes(80)
-        accepted += tun.decode(body, recv, 0).ok
+        accepted += isinstance(tun.decode(body, recv, 0), bytes)
     assert accepted == 0
 
 
@@ -225,8 +228,8 @@ def test_churn_leaves_no_index_entries():
     for i in range(1000):
         sci = Sci(i.to_bytes(6, "big"), 1)
         uni, bc = (2 * i).to_bytes(16, "big"), (2 * i + 1).to_bytes(16, "big")
-        tun.register(uni, HeaderData(DST, sci.system_id, sci, 0), 1)
-        tun.register(bc, HeaderData(BROADCAST_MAC, sci.system_id, sci, 0), 1)
+        tun.register(uni, _header(sci=sci), 1)
+        tun.register(bc, _header(BROADCAST_MAC, sci), 1)
         tun.remove(uni)
         tun.remove(bc)
     assert not any(_index_sizes(tun).values()), _index_sizes(tun)
@@ -237,9 +240,9 @@ def test_stale_expire_keeps_reannounced_flow():
     send, recv = _keys()
     # the sender re-announces the flow under a new base identifier, then
     # the expire for the old identifier arrives late
-    tun.register(b"\x0c" * 16, HeaderData(DST, SCI.system_id, SCI, 0), 1)
+    tun.register(b"\x0c" * 16, _header(), 1)
     tun.remove(b"\x0a" * 16)
-    assert tun.decode(_encode(tun, _protected(1), send), recv, 0).ok
+    assert isinstance(tun.decode(_encode(tun, _protected(1), send), recv, 0), bytes)
     tun.remove(b"\x0c" * 16)
     assert not any(_index_sizes(tun).values()), _index_sizes(tun)
 
@@ -248,7 +251,7 @@ def test_reused_bidf_replaces_the_older_flow():
     tun = _tunnel()
     other = Sci(b"\x02\x00\x00\x00\x00\x03", 1)
     # a second flow announced under the first one's base identifier
-    tun.register(b"\x0a" * 16, HeaderData(DST, other.system_id, other, 0), 1)
+    tun.register(b"\x0a" * 16, _header(sci=other), 1)
     tun.remove(b"\x0a" * 16)
     assert not any(_index_sizes(tun).values()), _index_sizes(tun)
 
@@ -275,8 +278,7 @@ def test_rekey_increments_and_grace():
     assert recv.for_epoch(0, now=1_000 + 1_999_999) is not None
     # and rejected after it
     assert recv.for_epoch(0, now=1_000 + 2_000_001) is None
-    res = tun.decode(old_body, recv, now=1_000 + 2_000_001)
-    assert res.reason == "bad_epoch"
+    assert tun.decode(old_body, recv, now=1_000 + 2_000_001) == "bad_epoch"
 
 
 def test_rekey_stale_notice_ignored():

@@ -10,7 +10,6 @@ from conftest import MAC_A, MAC_B, SCI_A, protect
 from msectun.flow import (
     PN_MAX,
     DownlinkFlows,
-    HeaderData,
     ReplayWindow,
     UplinkCast,
     UplinkFlowEntry,
@@ -149,19 +148,16 @@ def test_fuzz_equivalence():
 # -- binding -------------------------------------------------------------------
 
 
-def _header(dst=DST, an=0):
-    return HeaderData(dst=dst, src=SCI.system_id, sci=SCI, an=an)
-
-
 def _register(table, dst=DST, start_pn=1, sci=SCI, an=0):
-    return table.register(new_bidf(), HeaderData(dst, sci.system_id, sci, an), start_pn)
+    header = dst + sci.system_id + sci.pack() + bytes((an,))
+    return table.register(new_bidf(), header, start_pn)
 
 
 class UnboundFlows(DownlinkFlows):
     """Flow tables in which each cast has an SA record, and a window, of its own."""
 
-    def _sa_key(self, sci, an, dst):
-        return sci, an, is_broadcast(dst)
+    def _sa_key(self, header):
+        return header[12:], is_broadcast(header[:6])
 
 
 def test_bind_links_and_shares_window():
@@ -257,7 +253,7 @@ def test_new_unicast_flow_before_the_old_ones_expire():
 
 def _uplink(an=0, timeout=100):
     return UplinkFlowEntry(
-        sci=SCI,
+        sci=SCI.pack(),
         an=an,
         unicast=UplinkCast(b"\x0a" * 16),
         broadcast=UplinkCast(b"\x0b" * 16),
@@ -271,8 +267,8 @@ def test_expire_evicts_past_deadline():
     t.put(_uplink(an=1, timeout=500))
     dead = t.expire(now=101)
     assert [e.an for e in dead] == [0]
-    assert t.get(SCI, 0) is None
-    assert t.get(SCI, 1) is not None
+    assert t.get(SCI.pack(), 0) is None
+    assert t.get(SCI.pack(), 1) is not None
 
 
 def test_expire_refreshed_entry_survives():
@@ -293,15 +289,24 @@ def test_bidf_for_dst_class():
     sent = [protect(MAC_B, MAC_A, SCI_A, 1), protect(BROADCAST_MAC, MAC_A, SCI_A, 2)]
     for raw in sent:
         pair.lan_a(raw)
-    e = pair.a.uplink.get(SCI_A, 0)
+    e = pair.a.uplink.get(SCI_A.pack(), 0)
     assert e.unicast.bidf != e.broadcast.bidf
     flows = pair.b.codec.flows
-    assert flows[e.unicast.bidf].header.dst == MAC_B
-    assert flows[e.broadcast.bidf].header.dst == BROADCAST_MAC
+    assert flows[e.unicast.bidf].header[:6] == MAC_B
+    assert flows[e.broadcast.bidf].header[:6] == BROADCAST_MAC
     # each frame's identifier came from its own cast's bidf
     assert pair.emitted["B"] == sent
 
 
-def test_header_data_pack_roundtrip():
-    h = _header(an=3)
-    assert HeaderData.unpack(h.pack()) == h
+def test_announced_header_is_the_frames_wire_bytes():
+    """An announcement carries the frame's dst|src|sci and its AN, and the
+    far gateway keys the flow's SA by the last 9 of those bytes."""
+    pair = EnginePair(Scheme.IDF)
+    raw = protect(MAC_B, MAC_A, SCI_A, 1, an=3)
+    pair.lan_a(raw)
+    e = pair.a.uplink.get(raw[20:28], 3)
+    header = raw[:12] + raw[20:28] + b"\x03"
+    assert e.unicast.announce.header == header
+    flow = pair.b.codec.flows[e.unicast.bidf]
+    assert flow.header == header
+    assert pair.b.codec._sas[header[12:]] is flow.sa

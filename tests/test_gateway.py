@@ -7,7 +7,7 @@ import pytest
 
 from conftest import MAC_A, MAC_B, SCI_A, SCI_B, protect
 from msectun.encap import EncapScheme, decap, encap
-from msectun.flow import DEFAULT_WINDOW, HeaderData
+from msectun.flow import DEFAULT_WINDOW
 from msectun.frame import BROADCAST_MAC, Sci
 from msectun.fullenc import NONCE_LEN
 from msectun.gateway import (
@@ -43,7 +43,7 @@ def test_learning_narrows_targets(scheme):
     pair = EnginePair(scheme)
     raw = protect(MAC_B, MAC_A, SCI_A, 1)
     pair.lan_a(raw)
-    entry = pair.a.uplink.get(SCI_A, 0)
+    entry = pair.a.uplink.get(SCI_A.pack(), 0)
     assert entry.unicast.remote_gateway is None  # not learned yet
     reply = protect(MAC_A, MAC_B, SCI_B, 1)
     pair.lan_b(reply)
@@ -93,6 +93,23 @@ def test_mka_diverted_to_mgmt_channel():
     assert pair.a.snapshot_stats().datagrams_sent == 0  # never in the tunnel
 
 
+@pytest.mark.parametrize(
+    "body",
+    [b"", b"\x88\x8e\x03", MAC_B + MAC_A + b"\x08\x00" + bytes(50)],
+    ids=["empty", "3-byte", "ipv4"],
+)
+def test_mka_forward_emits_only_key_agreement_frames(body):
+    """A forwarded frame reaches the LAN only as the uplink diverts it:
+    14 bytes or more with EtherType 0x888E."""
+    pair = EnginePair(Scheme.IDF)
+    pair.b.on_mgmt_bytes(encode_message(MgmtMessage.mka(body)), "A", now=0)
+    pair.b.on_mgmt_message(MgmtMessage.mka(body), "A", now=0)
+    assert pair.emitted["B"] == []
+    stats = pair.b.snapshot_stats()
+    assert stats.drops == Counter(mgmt_malformed=2)
+    assert stats.bytes_lan_out == 0
+
+
 def test_mixed_scheme_datagram_rejected():
     pair = EnginePair(Scheme.IDF)
     datagram = encap(b"\x00" * 60, EncapScheme.ENC)
@@ -127,11 +144,11 @@ def test_unicast_dst_change_rotates_flow():
     pair = EnginePair(Scheme.IDF)
     raw = protect(MAC_B, MAC_A, SCI_A, 1)
     pair.lan_a(raw)
-    old_bidf = pair.a.uplink.get(SCI_A, 0).unicast.bidf
+    old_bidf = pair.a.uplink.get(SCI_A.pack(), 0).unicast.bidf
     other_dst = b"\x02\xcc\x00\x00\x00\x01"
     raw2 = protect(other_dst, MAC_A, SCI_A, 2)
     pair.lan_a(raw2)
-    entry = pair.a.uplink.get(SCI_A, 0)
+    entry = pair.a.uplink.get(SCI_A.pack(), 0)
     assert entry.unicast.bidf != old_bidf
     assert entry.unicast.dst == other_dst
     assert pair.a.snapshot_stats().warnings["unicast_dst_change"] == 1
@@ -142,11 +159,11 @@ def test_flow_expiry_propagates():
     pair = EnginePair(Scheme.IDF, flow_timeout_us=1000)
     raw = protect(MAC_B, MAC_A, SCI_A, 1)
     pair.lan_a(raw, now=0)
-    bidf = pair.a.uplink.get(SCI_A, 0).unicast.bidf
-    assert bidf in pair.b.idf_downlink.flows
+    bidf = pair.a.uplink.get(SCI_A.pack(), 0).unicast.bidf
+    assert bidf in pair.b.codec.flows
     pair.a.on_timer(now=2000)
-    assert pair.a.uplink.get(SCI_A, 0) is None
-    assert bidf not in pair.b.idf_downlink.flows
+    assert pair.a.uplink.get(SCI_A.pack(), 0) is None
+    assert bidf not in pair.b.codec.flows
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
@@ -171,14 +188,14 @@ def test_roaming_device_keeps_its_sa_across_gateways(scheme):
     for raw in moved:
         gw_c.on_lan_frame(raw, 500)
     pair.a.on_timer(1600)
-    assert pair.a.uplink.get(SCI_A, 0) is None
+    assert pair.a.uplink.get(SCI_A.pack(), 0) is None
     after = sealed([BROADCAST_MAC] * 20 + [MAC_B] * 5)
     for raw in after:
         gw_c.on_lan_frame(raw, 1600)
     assert pair.emitted["B"] == before + moved + after
     assert pair.b.snapshot_stats().drops == Counter()
     if scheme is Scheme.IDF:
-        pair.b.idf_downlink.audit()
+        pair.b.codec.audit()
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
@@ -228,29 +245,29 @@ def _check_indexes(gw):
     assert {b: id(e) for b, e in gw.uplink._by_bidf.items()} == {
         e.unicast.bidf: id(e) for e in up
     }
-    dsts = Counter((e.sci.system_id, e.unicast.dst) for e in up if e.unicast.dst is not None)
+    dsts = Counter((e.sci[:6], e.unicast.dst) for e in up if e.unicast.dst is not None)
     assert gw.uplink._dst_count == dict(dsts)
     for e in up:
         assert gw.uplink.by_unicast_bidf(e.unicast.bidf) is e
         if e.unicast.dst is not None:
-            assert gw.uplink.has_unicast(e.sci.system_id, e.unicast.dst)
+            assert gw.uplink.has_unicast(e.sci[:6], e.unicast.dst)
 
     down = gw.codec
     scan = {}
     for bidf, flow in down.flows.items():
         assert flow.bidf == bidf
-        scan.setdefault((flow.header.dst, flow.header.src), []).append(id(flow))
+        scan.setdefault(flow.header[:12], []).append(id(flow))
     assert {k: [id(f) for f in v] for k, v in down._by_addr.items()} == scan
     # each flow sits in its cast's slot of its SA record, and each SA
     # record holds only flows of the table
     for flow in down.flows.values():
         sa = flow.sa
-        assert (sa.broadcast if flow.header.dst == BROADCAST_MAC else sa.unicast) is flow
-        assert down._sas[flow.header.sci, flow.header.an] is sa
+        assert (sa.broadcast if flow.header[:6] == BROADCAST_MAC else sa.unicast) is flow
+        assert down._sas[flow.header[12:]] is sa
     slots = [f for sa in down._sas.values() for f in (sa.unicast, sa.broadcast) if f is not None]
     assert sorted(map(id, slots)) == sorted(map(id, down.flows.values()))
-    for (dst, src), flows in scan.items():
-        assert [id(f) for f in down.addressed(dst, src)] == flows
+    for addr, flows in scan.items():
+        assert [id(f) for f in down.addressed(addr[:6], addr[6:])] == flows
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
@@ -322,15 +339,15 @@ def test_duplicate_announce_is_idempotent():
     pair = EnginePair(Scheme.IDF)
     raw = protect(MAC_B, MAC_A, SCI_A, 1)
     pair.lan_a(raw)
-    entry = pair.a.uplink.get(SCI_A, 0)
+    entry = pair.a.uplink.get(SCI_A.pack(), 0)
     msg = encode_message(
         MgmtMessage.announce(
             entry.unicast.bidf,
-            pair.b.idf_downlink.flows[entry.unicast.bidf].header,
+            pair.b.codec.flows[entry.unicast.bidf].header,
             1,
         )
     )
-    downlink = pair.b.idf_downlink
+    downlink = pair.b.codec
     before = downlink.held(downlink.flows[entry.unicast.bidf])
     pair.b.on_mgmt_bytes(msg, "A", now=0)
     assert downlink.held(downlink.flows[entry.unicast.bidf]) == before
@@ -340,7 +357,7 @@ def test_learned_conflict_warns_last_writer_wins():
     pair = EnginePair(Scheme.IDF, names=("A", "B", "C"))
     raw = protect(MAC_B, MAC_A, SCI_A, 1)
     pair.lan_a(raw)
-    entry = pair.a.uplink.get(SCI_A, 0)
+    entry = pair.a.uplink.get(SCI_A.pack(), 0)
     pair.a.on_mgmt_message(MgmtMessage.learned(entry.unicast.bidf), "B", now=0)
     assert entry.unicast.remote_gateway == "B"
     pair.a.on_mgmt_message(MgmtMessage.learned(entry.unicast.bidf), "C", now=0)
@@ -384,6 +401,16 @@ def test_config_validation():
     assert cfg.scheme is Scheme.ENC
 
 
+@pytest.mark.parametrize("window", [True, 2.5, "8"])
+def test_window_must_be_an_integer(window):
+    """A bool or a non-integer window is refused before the data plane
+    could meet it."""
+    with pytest.raises(ValueError, match="^window: "):
+        GatewayConfig(own_id="A", peers=["B"], window=window)
+    with pytest.raises(ValueError, match="^window: "):
+        EnginePair(Scheme.IDF, window=window)
+
+
 def test_queue_until_announce_acked():
     """Frames for a flow queue while the mgmt channel is down."""
     down = {"flag": True}
@@ -412,7 +439,7 @@ def test_queued_frames_end_with_their_sa(scheme):
     pair.lan_a(protect(BROADCAST_MAC, MAC_A, SCI_A, 2))
     pair.now = 2000
     pair.a.on_timer(pair.now)
-    assert pair.a.uplink.get(SCI_A, 0) is None
+    assert pair.a.uplink.get(SCI_A.pack(), 0) is None
     assert pair.a.snapshot_stats().drops["unregistered_queue_overflow"] == 2
 
     up["flag"] = True
@@ -420,7 +447,7 @@ def test_queued_frames_end_with_their_sa(scheme):
     for raw in fresh:
         pair.lan_a(raw)
     assert pair.emitted["B"] == fresh  # nothing queued before expiry
-    entry = pair.a.uplink.get(SCI_A, 0)
+    entry = pair.a.uplink.get(SCI_A.pack(), 0)
     assert entry.unicast.pending == [] and entry.broadcast.pending == []
 
 
@@ -431,7 +458,7 @@ def test_queue_overflow_drops_oldest():
         raw = protect(MAC_B, MAC_A, SCI_A, pn)
         pair.lan_a(raw)
     assert pair.a.snapshot_stats().drops["unregistered_queue_overflow"] == 6
-    pending = pair.a.uplink.get(SCI_A, 0).unicast.pending
+    pending = pair.a.uplink.get(SCI_A.pack(), 0).unicast.pending
     assert [pn for pn, _ in pending] == list(range(7, QUEUE_LIMIT + 7))
 
 
@@ -445,7 +472,7 @@ def test_announcement_keeps_the_newest_tunneled_pn(scheme):
     for raw in frames:
         pair.lan_a(raw)
     assert pair.emitted["B"] == frames
-    entry = pair.a.uplink.get(SCI_A, 0)
+    entry = pair.a.uplink.get(SCI_A.pack(), 0)
     assert entry.unicast.announce.pn == 20
     assert entry.broadcast.announce.pn == 25
 
@@ -521,10 +548,10 @@ def test_tick_that_hands_over_the_announcement_drains_the_queue(scheme, dst):
     pair.a.on_timer(100)
     assert len(pair.b.codec.flows) == 1
     assert pair.emitted["B"] == frames
-    entry = pair.a.uplink.get(SCI_A, 0)
+    entry = pair.a.uplink.get(SCI_A.pack(), 0)
     assert entry.unicast.pending == entry.broadcast.pending == []
     pair.a.on_timer(20_000)  # the SA expires
-    assert pair.a.uplink.get(SCI_A, 0) is None
+    assert pair.a.uplink.get(SCI_A.pack(), 0) is None
     assert pair.a.snapshot_stats().dropped() == 0
     assert pair.b.snapshot_stats().dropped() == 0
 
@@ -537,7 +564,7 @@ def test_sa_expired_before_its_announcement_leaves_no_far_flow(scheme):
     pair.lan_a(protect(MAC_B, MAC_A, SCI_A, 1), now=0)
     pair.lan_a(protect(BROADCAST_MAC, MAC_A, SCI_A, 2))
     pair.a.on_timer(2000)
-    assert pair.a.uplink.get(SCI_A, 0) is None
+    assert pair.a.uplink.get(SCI_A.pack(), 0) is None
     refusing.clear()
     pair.a.on_timer(3000)
     assert pair.b.codec.flows == {}
@@ -558,8 +585,8 @@ def test_dst_change_before_its_announcement_leaves_only_the_new_flow(scheme):
     refusing.clear()
     pair.a.on_timer(pair.now)
     flows = pair.b.codec.flows
-    assert list(flows) == [pair.a.uplink.get(SCI_A, 0).unicast.bidf]
-    assert [f.header.dst for f in flows.values()] == [other_dst]
+    assert list(flows) == [pair.a.uplink.get(SCI_A.pack(), 0).unicast.bidf]
+    assert [f.header[:6] for f in flows.values()] == [other_dst]
     assert pair.emitted["B"] == [fresh]
     assert pair.b.snapshot_stats().dropped() == 0
 
@@ -647,7 +674,7 @@ def test_non_peer_datagram_dropped_before_decode(scheme):
 def test_learned_from_non_peer_keeps_the_flow(scheme):
     pair = EnginePair(scheme)
     pair.lan_a(protect(MAC_B, MAC_A, SCI_A, 1))
-    bidf = pair.a.uplink.get(SCI_A, 0).unicast.bidf
+    bidf = pair.a.uplink.get(SCI_A.pack(), 0).unicast.bidf
     pair.a.on_mgmt_bytes(encode_message(MgmtMessage.learned(bidf)), "X", now=0)
     frames = [protect(MAC_B, MAC_A, SCI_A, pn) for pn in range(2, 22)]
     for raw in frames:
@@ -659,7 +686,7 @@ def test_learned_from_non_peer_keeps_the_flow(scheme):
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_announce_from_non_peer_registers_nothing(scheme):
     pair = EnginePair(scheme)
-    header = HeaderData(dst=MAC_A, src=MAC_B, sci=SCI_B, an=0)
+    header = MAC_A + MAC_B + SCI_B.pack() + b"\x00"  # dst|src|sci|an
     pair.a.on_mgmt_bytes(encode_message(MgmtMessage.announce(bytes(16), header, 1)), "X", 0)
     assert pair.a.codec.flows == {}
     raw = protect(MAC_B, MAC_A, SCI_A, 1)

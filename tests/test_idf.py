@@ -8,7 +8,7 @@ import pytest
 
 from test_frame import random_frame
 from msectun.bench import run_table_sweep
-from msectun.flow import PN_MAX, DecodeResult, HeaderData, UplinkCast, UplinkFlowEntry, new_bidf
+from msectun.flow import PN_MAX, UplinkCast, UplinkFlowEntry, new_bidf
 from msectun.frame import (
     BROADCAST_MAC,
     PlainFrame,
@@ -35,8 +35,8 @@ DST = b"\x02\x00\x00\x00\x00\x02"
 class UnboundIdfDownlink(IdfDownlink):
     """Identifier tables that never bind a unicast and a broadcast flow."""
 
-    def _sa_key(self, sci, an, dst):
-        return sci, an, is_broadcast(dst)
+    def _sa_key(self, header):
+        return header[12:], is_broadcast(header[:6])
 
 
 class CountingIdfDownlink(UnboundIdfDownlink):
@@ -47,20 +47,25 @@ class CountingIdfDownlink(UnboundIdfDownlink):
     identifiers and flow binding exist to prevent.
     """
 
-    def decode(self, body: bytes, *rest) -> DecodeResult:
+    def decode(self, body: bytes, *rest) -> bytes | str:
         flow = self.ids.get(int.from_bytes(body[:8], "big"))
         counted = None if flow is None else flow.sa.window.lowest_unseen()
-        res = super().decode(body, *rest)
-        if not res.ok:
-            return res
+        frame = super().decode(body, *rest)
+        if isinstance(frame, str):
+            return frame
         # the PN sits at bytes 16..19: dst(6) src(6) ethertype(2) tci(1) sl(1)
-        return DecodeResult(frame=res.frame[:16] + struct.pack(">I", counted) + res.frame[20:])
+        return frame[:16] + struct.pack(">I", counted) + frame[20:]
+
+
+def _header(dst=DST, sci=SCI, an=0):
+    """The announced dst|src|sci|an of station ``sci`` sending to ``dst``."""
+    return dst + sci.system_id + sci.pack() + bytes((an,))
 
 
 def _uplink_entry(rng=None, an=0):
     rng = rng or random.Random(1)
     return UplinkFlowEntry(
-        sci=SCI,
+        sci=SCI.pack(),
         an=an,
         unicast=UplinkCast(new_bidf(rng), DST),
         broadcast=UplinkCast(new_bidf(rng)),
@@ -88,15 +93,9 @@ def _protected(pn, dst=DST, payload=b"\x00" * 40, an=0):
 
 def _downlink(entry, window=8, pn=1, broadcast=False):
     dn = IdfDownlink(window_size=window)
-    dn.register(
-        entry.unicast.bidf, HeaderData(dst=DST, src=SCI.system_id, sci=SCI, an=entry.an), pn
-    )
+    dn.register(entry.unicast.bidf, _header(an=entry.an), pn)
     if broadcast:
-        dn.register(
-            entry.broadcast.bidf,
-            HeaderData(dst=BROADCAST_MAC, src=SCI.system_id, sci=SCI, an=entry.an),
-            pn,
-        )
+        dn.register(entry.broadcast.bidf, _header(BROADCAST_MAC, an=entry.an), pn)
     return dn
 
 
@@ -207,7 +206,7 @@ def test_wire_opacity_no_sensitive_substrings():
     sci = Sci(b"\xa1\xa2\xa3\xa4\xa5\xa6", 0xB1B2)
     dst = b"\xc1\xc2\xc3\xc4\xc5\xc6"
     entry = UplinkFlowEntry(
-        sci=sci, an=0, unicast=UplinkCast(b"\x11" * 16, dst), broadcast=UplinkCast(b"\x22" * 16),
+        sci=sci.pack(), an=0, unicast=UplinkCast(b"\x11" * 16, dst), broadcast=UplinkCast(b"\x22" * 16),
         timeout=1 << 60,
     )
     for pn in (0xD1D2D3D4, 0xD5D6D7D8):
@@ -228,10 +227,9 @@ def test_roundtrip_bit_exact():
     dn = _downlink(entry)
     for pn in range(1, 20):
         f, raw = _protected(pn=pn)
-        res = dn.decode(_encode(f, entry))
-        assert res.ok
-        assert res.frame == raw
-        endpoint_verify(parse_macsec(res.frame), KEY)
+        frame = dn.decode(_encode(f, entry))
+        assert frame == raw
+        endpoint_verify(parse_macsec(frame), KEY)
     dn.audit()
 
 
@@ -248,8 +246,8 @@ def test_roundtrip_keeps_any_tci_flags_bit_exact():
         seen.add(raw[14])
         bidf = new_bidf(rng)
         dn = IdfDownlink(window_size=8)
-        dn.register(bidf, HeaderData(f.dst, f.src, tag.sci, tag.tci.an), tag.pn)
-        assert dn.decode(uplink_encode(raw, tag.pn, bidf)).frame == raw
+        dn.register(bidf, f.dst + f.src + tag.sci.pack() + bytes((tag.tci.an,)), tag.pn)
+        assert dn.decode(uplink_encode(raw, tag.pn, bidf)) == raw
     # every ES, SCB and AN combination came through
     assert len(seen) == 16
 
@@ -259,8 +257,8 @@ def test_replay_same_wire_frame():
     dn = _downlink(entry)
     f, _ = _protected(pn=1)
     body = _encode(f, entry)
-    assert dn.decode(body).ok
-    assert dn.decode(body).reason == "replay"
+    assert isinstance(dn.decode(body), bytes)
+    assert dn.decode(body) == "replay"
     dn.audit()
 
 
@@ -270,8 +268,7 @@ def test_unknown_identifier_random_injections():
     rng = random.Random(17)
     accepted = 0
     for _ in range(100_000):
-        res = dn.decode(rng.randbytes(60))
-        accepted += res.ok
+        accepted += isinstance(dn.decode(rng.randbytes(60)), bytes)
     assert accepted == 0
     assert dn.flows  # state untouched
     dn.audit()
@@ -280,10 +277,9 @@ def test_unknown_identifier_random_injections():
 def test_out_of_window_after_overgap():
     entry = _uplink_entry()
     dn = _downlink(entry, window=4)
-    assert dn.decode(_encode(_protected(1)[0], entry)).ok
+    assert isinstance(dn.decode(_encode(_protected(1)[0], entry)), bytes)
     # identifiers beyond the precalculated set cannot even be looked up
-    res = dn.decode(_encode(_protected(100)[0], entry))
-    assert res.reason == "unknown_identifier"
+    assert dn.decode(_encode(_protected(100)[0], entry)) == "unknown_identifier"
 
 
 def test_loss_tolerance_matches_oracle():
@@ -303,8 +299,7 @@ def test_loss_tolerance_matches_oracle():
         expected_ok = []
         for pn in delivered:
             f, raw = _protected(pn=pn)
-            res = dn.decode(_encode(f, entry))
-            if res.ok:
+            if isinstance(dn.decode(_encode(f, entry)), bytes):
                 expected_ok.append(pn)
         # every accepted pn reconstructs bit-exactly and never repeats
         assert len(set(expected_ok)) == len(expected_ok)
@@ -325,53 +320,50 @@ def test_bound_flows_share_pn_and_reconstruct():
     for pn in range(1, 30):
         dst = BROADCAST_MAC if pn % 3 == 0 else DST
         f, raw = _protected(pn=pn, dst=dst)
-        res = dn.decode(_encode(f, entry))
-        assert res.ok, (pn, res.reason)
-        assert res.frame == raw
+        frame = dn.decode(_encode(f, entry))
+        assert frame == raw, (pn, frame)
     dn.audit()
 
 
 def test_unbound_broadcast_window_stalls():
     entry = _uplink_entry()
     dn = UnboundIdfDownlink(window_size=4)
-    dn.register(entry.unicast.bidf, HeaderData(DST, SCI.system_id, SCI, 0), 1)
-    dn.register(entry.broadcast.bidf, HeaderData(BROADCAST_MAC, SCI.system_id, SCI, 0), 1)
+    dn.register(entry.unicast.bidf, _header(), 1)
+    dn.register(entry.broadcast.bidf, _header(BROADCAST_MAC), 1)
     # unicast consumes pns 1..20; broadcast window never advances
     for pn in range(1, 21):
         f, _ = _protected(pn=pn)
-        assert dn.decode(_encode(f, entry)).ok
+        assert isinstance(dn.decode(_encode(f, entry)), bytes)
     f, _ = _protected(pn=21, dst=BROADCAST_MAC)
-    res = dn.decode(_encode(f, entry))
-    assert res.reason == "unknown_identifier"
+    assert dn.decode(_encode(f, entry)) == "unknown_identifier"
 
 
 def test_naive_pn_reconstruction_hook_reproduces_wrong_pn():
     """Counting-based reconstruction delivers frames with stale PNs."""
     entry = _uplink_entry()
     dn = CountingIdfDownlink(window_size=8)
-    dn.register(entry.unicast.bidf, HeaderData(DST, SCI.system_id, SCI, 0), 1)
-    dn.register(entry.broadcast.bidf, HeaderData(BROADCAST_MAC, SCI.system_id, SCI, 0), 1)
+    dn.register(entry.unicast.bidf, _header(), 1)
+    dn.register(entry.broadcast.bidf, _header(BROADCAST_MAC), 1)
     # pn 1 goes out as unicast, pn 2 as broadcast: the broadcast flow's
     # counter still says 1, so the rebuilt frame carries the wrong PN
     f, _ = _protected(pn=1)
-    assert dn.decode(_encode(f, entry)).ok
+    assert isinstance(dn.decode(_encode(f, entry)), bytes)
     f, raw = _protected(pn=2, dst=BROADCAST_MAC)
-    res = dn.decode(_encode(f, entry))
-    assert res.ok
-    assert res.frame != raw
-    assert parse_macsec(res.frame).sectag.pn == 1
+    frame = dn.decode(_encode(f, entry))
+    assert isinstance(frame, bytes)
+    assert frame != raw
+    assert parse_macsec(frame).sectag.pn == 1
     with pytest.raises(Exception):
-        endpoint_verify(parse_macsec(res.frame), KEY)
+        endpoint_verify(parse_macsec(frame), KEY)
 
 
 def test_reannounce_with_higher_pn_resets_window():
     entry = _uplink_entry()
     dn = _downlink(entry, window=8)
     f, _ = _protected(pn=500)
-    assert dn.decode(_encode(f, entry)).reason == "unknown_identifier"
-    dn.register(entry.unicast.bidf, HeaderData(DST, SCI.system_id, SCI, 0), 500)
-    res = dn.decode(_encode(f, entry))
-    assert res.ok
+    assert dn.decode(_encode(f, entry)) == "unknown_identifier"
+    dn.register(entry.unicast.bidf, _header(), 500)
+    assert isinstance(dn.decode(_encode(f, entry)), bytes)
     dn.audit()
 
 
@@ -379,7 +371,7 @@ def test_duplicate_announce_idempotent():
     entry = _uplink_entry()
     dn = _downlink(entry, window=8)
     before = dn.held(dn.flows[entry.unicast.bidf])
-    dn.register(entry.unicast.bidf, HeaderData(DST, SCI.system_id, SCI, 0), 1)
+    dn.register(entry.unicast.bidf, _header(), 1)
     assert dn.held(dn.flows[entry.unicast.bidf]) == before
     dn.audit()
 
@@ -405,9 +397,9 @@ def test_batched_refill_keeps_older_entry_on_collision(monkeypatch):
     monkeypatch.setattr(idf, "derive_ridf", lambda bidf, pn: pn)
     monkeypatch.setattr(idf, "derive_ridfs", lambda bidf, pns: list(pns))
     dn = IdfDownlink(window_size=8)
-    first = dn.register(b"\x01" * 16, HeaderData(DST, SCI.system_id, SCI, 0), 1)
+    first = dn.register(b"\x01" * 16, _header(), 1)
     other = Sci(b"\x02\x00\x00\x00\x00\x09", 1)
-    second = dn.register(b"\x02" * 16, HeaderData(DST, other.system_id, other, 0), 5)
+    second = dn.register(b"\x02" * 16, _header(sci=other), 5)
     assert dn.ridf_collisions == 4 and dn.hash_calls_downlink == 16
     assert sorted(dn.held(first)) == list(range(1, 9))
     assert sorted(dn.held(second)) == list(range(9, 13))
@@ -423,7 +415,7 @@ def test_steady_state_hash_counts():
         dn.decode(_encode(_protected(pn)[0], entry))
     before = dn.hash_calls_downlink
     for pn in range(6, 106):
-        assert dn.decode(_encode(_protected(pn)[0], entry)).ok
+        assert isinstance(dn.decode(_encode(_protected(pn)[0], entry)), bytes)
     assert dn.hash_calls_downlink - before == 100
 
 
@@ -432,26 +424,26 @@ def test_refill_hashes_only_new_identifiers():
     window = 16
     entry = _uplink_entry()
     dn = IdfDownlink(window_size=window)
-    uni = dn.register(entry.unicast.bidf, HeaderData(DST, SCI.system_id, SCI, 0), 1)
+    uni = dn.register(entry.unicast.bidf, _header(), 1)
     assert dn.hash_calls_downlink == window
     dn.audit()
     # the broadcast partner joins the SA's unicast window [1, 16]: the
     # unicast flow keeps its identifiers, only the partner is hashed
-    bc = dn.register(entry.broadcast.bidf, HeaderData(BROADCAST_MAC, SCI.system_id, SCI, 0), 2)
+    bc = dn.register(entry.broadcast.bidf, _header(BROADCAST_MAC), 2)
     assert bc.sa is uni.sa and (uni.sa.window.floor, uni.sa.window.top) == (1, window)
     assert dn.hash_calls_downlink == 2 * window
     dn.audit()
     # a re-announce at PN 5 resets the shared window to [5, 20]: PNs
     # 17..20 are new to the range, for each of the two flows
     before = dn.hash_calls_downlink
-    dn.register(entry.unicast.bidf, HeaderData(DST, SCI.system_id, SCI, 0), 5)
+    dn.register(entry.unicast.bidf, _header(), 5)
     assert (uni.sa.window.floor, uni.sa.window.top) == (5, window + 4)
     assert dn.hash_calls_downlink - before == 2 * 4
     assert sorted(dn.held(uni)) == sorted(dn.held(bc)) == list(range(5, window + 5))
     dn.audit()
     # a reset past the whole range renews every identifier
     before = dn.hash_calls_downlink
-    dn.register(entry.unicast.bidf, HeaderData(DST, SCI.system_id, SCI, 0), 1000)
+    dn.register(entry.unicast.bidf, _header(), 1000)
     assert dn.hash_calls_downlink - before == 2 * window
     assert len(dn.ids) == 2 * window
     dn.audit()

@@ -2,7 +2,6 @@
 
 import pytest
 
-from msectun.flow import HeaderData
 from msectun.frame import BROADCAST_MAC, Sci
 from msectun.mgmt import (
     CAST_BROADCAST,
@@ -16,7 +15,8 @@ from msectun.mgmt import (
 )
 
 SCI = Sci(b"\x02\x00\x00\x00\x00\x01", 1)
-HDR = HeaderData(dst=b"\x02\x00\x00\x00\x00\x02", src=SCI.system_id, sci=SCI, an=2)
+# dst|src|sci|an
+HDR = b"\x02\x00\x00\x00\x00\x02" + SCI.system_id + SCI.pack() + b"\x02"
 
 
 def test_announce_roundtrip():
@@ -31,10 +31,10 @@ def test_announce_roundtrip():
 
 
 def test_announce_broadcast_cast_marker():
-    hdr = HeaderData(dst=BROADCAST_MAC, src=SCI.system_id, sci=SCI, an=0)
+    hdr = BROADCAST_MAC + SCI.system_id + SCI.pack() + b"\x00"
     wire = encode_message(MgmtMessage.announce(b"\x22" * 16, hdr, 1))
     assert wire[-1] == CAST_BROADCAST
-    assert decode_message(wire).header.dst == BROADCAST_MAC
+    assert decode_message(wire).header[:6] == BROADCAST_MAC
 
 
 @pytest.mark.parametrize(
@@ -180,4 +180,19 @@ def test_known_answer_vectors_cover_every_kind():
     ],
 )
 def test_constructors_encode_to_the_vectors(msg, wire):
+    assert encode_message(msg).hex() == wire
+
+
+@pytest.mark.parametrize(
+    "vector, header",
+    [
+        (VECTORS[0], "020000000002" "020000000001" "0200000000010001" "02"),
+        (VECTORS[1], "ffffffffffff" "020000000001" "0200000000010001" "00"),
+    ],
+)
+def test_announce_vectors_carry_the_header_bytes(vector, header):
+    """An announce holds its dst|src|sci|an as the 21 bytes it sends."""
+    _, wire, fields = vector
+    assert decode_message(bytes.fromhex(wire)).header == bytes.fromhex(header)
+    msg = MgmtMessage.announce(fields["bidf"], bytes.fromhex(header), fields["pn"])
     assert encode_message(msg).hex() == wire

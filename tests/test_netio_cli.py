@@ -21,12 +21,20 @@ from msectun.mgmt import MgmtKind, MgmtMessage, StreamDecoder, decode_message, e
 from msectun.netio import GatewayRunner, PeerEndpoints, parse_hostport
 
 
-def _udp_port():
-    s = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    s.bind(("127.0.0.1", 0))
-    port = s.getsockname()[1]
-    s.close()
-    return port
+def _free_port():
+    """A loopback port that is free for TCP and for UDP: a runner listens
+    for management connections on one of these numbers, and a number
+    free only for UDP may still be held by an earlier TCP connection."""
+    while True:
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as tcp:
+            tcp.bind(("127.0.0.1", 0))
+            port = tcp.getsockname()[1]
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as udp:
+                try:
+                    udp.bind(("127.0.0.1", port))
+                except OSError:
+                    continue
+        return port
 
 
 def _wait_for(cond, seconds: float) -> None:
@@ -37,7 +45,7 @@ def _wait_for(cond, seconds: float) -> None:
 
 
 def _runner_pair(scheme: Scheme):
-    ports = {gw: {k: _udp_port() for k in ("tun", "mgmt", "lan", "dev")} for gw in "AB"}
+    ports = {gw: {k: _free_port() for k in ("tun", "mgmt", "lan", "dev")} for gw in "AB"}
     secret = bytes(range(32))
     runners = {}
     for own, peer in (("A", "B"), ("B", "A")):
@@ -242,14 +250,14 @@ def test_mgmt_messages_leave_only_on_dialed_connections():
     Stopping A closes the accepted connection too."""
     real_b = socket.create_server(("127.0.0.1", 0))
     real_b.settimeout(5)
-    ports = {k: _udp_port() for k in ("tun", "mgmt", "lan")}
+    ports = {k: _free_port() for k in ("tun", "mgmt", "lan")}
     runner = GatewayRunner(
         GatewayConfig(own_id="gwA", peers=["gwB"], scheme=Scheme.ENC),
         tun_listen=("127.0.0.1", ports["tun"]),
         mgmt_listen=("127.0.0.1", ports["mgmt"]),
         lan_listen=("127.0.0.1", ports["lan"]),
         lan_peer=None,
-        peer_endpoints={"gwB": PeerEndpoints(("127.0.0.1", _udp_port()), real_b.getsockname())},
+        peer_endpoints={"gwB": PeerEndpoints(("127.0.0.1", _free_port()), real_b.getsockname())},
     )
     runner.start()
     stranger = socket.create_connection(("127.0.0.1", ports["mgmt"]))
@@ -302,14 +310,14 @@ def test_mgmt_send_redials_a_connection_the_peer_closed():
     a new connection, not into the dead one."""
     real_b = socket.create_server(("127.0.0.1", 0))
     real_b.settimeout(5)
-    ports = {k: _udp_port() for k in ("tun", "mgmt", "lan")}
+    ports = {k: _free_port() for k in ("tun", "mgmt", "lan")}
     runner = GatewayRunner(
         GatewayConfig(own_id="gwA", peers=["gwB"], scheme=Scheme.NAIVE),
         tun_listen=("127.0.0.1", ports["tun"]),
         mgmt_listen=("127.0.0.1", ports["mgmt"]),
         lan_listen=("127.0.0.1", ports["lan"]),
         lan_peer=None,
-        peer_endpoints={"gwB": PeerEndpoints(("127.0.0.1", _udp_port()), real_b.getsockname())},
+        peer_endpoints={"gwB": PeerEndpoints(("127.0.0.1", _free_port()), real_b.getsockname())},
     )
     hello = encode_message(MgmtMessage.hello())
     expected = struct.pack(">H", 3) + b"gwA" + hello  # each new connection names gwA
@@ -342,14 +350,14 @@ def test_mgmt_send_keeps_a_live_connection_past_fd_setsize():
         pytest.skip("no descriptor at or above 1024 in this process")
     real_b = socket.create_server(("127.0.0.1", 0))
     real_b.settimeout(5)
-    ports = {k: _udp_port() for k in ("tun", "mgmt", "lan")}
+    ports = {k: _free_port() for k in ("tun", "mgmt", "lan")}
     runner = GatewayRunner(
         GatewayConfig(own_id="gwA", peers=["gwB"], scheme=Scheme.NAIVE),
         tun_listen=("127.0.0.1", ports["tun"]),
         mgmt_listen=("127.0.0.1", ports["mgmt"]),
         lan_listen=("127.0.0.1", ports["lan"]),
         lan_peer=None,
-        peer_endpoints={"gwB": PeerEndpoints(("127.0.0.1", _udp_port()), real_b.getsockname())},
+        peer_endpoints={"gwB": PeerEndpoints(("127.0.0.1", _free_port()), real_b.getsockname())},
     )
     hello = encode_message(MgmtMessage.hello())
     expected = struct.pack(">H", 3) + b"gwA" + hello

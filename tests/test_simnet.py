@@ -320,6 +320,18 @@ def test_config_validation():
         )
 
 
+def test_scenario_window_must_be_an_integer():
+    cfg = scenario_from_dict(
+        {
+            "lans": {"A": ["a1"], "B": ["b1"]},
+            "traffic": [{"device": "a1", "dst": "b1", "count": 5, "interval_us": 100}],
+            "window": 2.5,
+        }
+    )
+    with pytest.raises(ValueError, match="^window: "):
+        run_scenario(cfg)
+
+
 def test_scenario_from_dict():
     cfg = scenario_from_dict(
         {
